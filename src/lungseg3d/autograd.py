@@ -326,11 +326,11 @@ def fold(t: Var, window, spatial) -> Var:
 def matmul_qk(q: Var, k: Var) -> Var:
     """Token score matrix per window: (B,N,T,C) x (B,N,T,C) -> (B,N,T,T)."""
     qd, kd = q.data, k.data
-    y = np.einsum("bnqc,bnkc->bnqk", qd, kd, optimize=True)
+    y = qd @ kd.swapaxes(-1, -2)
 
     def bw(g):
-        accumulate(q, np.einsum("bnqk,bnkc->bnqc", g, kd, optimize=True))
-        accumulate(k, np.einsum("bnqk,bnqc->bnkc", g, qd, optimize=True))
+        accumulate(q, g @ kd)
+        accumulate(k, g.swapaxes(-1, -2) @ qd)
 
     return from_op(y, (q, k), bw)
 
@@ -338,10 +338,10 @@ def matmul_qk(q: Var, k: Var) -> Var:
 def matmul_av(a: Var, v: Var) -> Var:
     """Mix token values with attention weights: (B,N,T,T) x (B,N,T,C)."""
     ad, vd = a.data, v.data
-    y = np.einsum("bnqk,bnkc->bnqc", ad, vd, optimize=True)
+    y = ad @ vd
 
     def bw(g):
-        accumulate(a, np.einsum("bnqc,bnkc->bnqk", g, vd, optimize=True))
-        accumulate(v, np.einsum("bnqk,bnqc->bnkc", ad, g, optimize=True))
+        accumulate(a, g @ vd.swapaxes(-1, -2))
+        accumulate(v, ad.swapaxes(-1, -2) @ g)
 
     return from_op(y, (a, v), bw)

@@ -5,13 +5,31 @@ the input dtype (f64 for gradient verification, f32 for training). Backward
 functions return exact analytic gradients of their forward map; nothing here
 is approximated.
 
-Convolution is cross-correlation (no kernel flip). Both conv3d and tconv3d
-iterate over kernel taps and reduce each tap with a BLAS contraction, which
-keeps memory flat compared to an im2col buffer.
+Convolution is cross-correlation (no kernel flip). The conv family is one
+shift-and-GEMM (kn2row) kernel and its adjoints. The input is zero-padded
+once and the spatial axes of each stride phase (below; Dq x Hq x Wq voxels)
+are flattened with row pitches Hq*Wq and Wq, so output voxel (i, j, k) sits
+at flat column i*Hq*Wq + j*Wq + k and each kernel tap reads the input at
+one fixed flat offset: one matmul of the tap's (O x C) matrix against a
+contiguous column slice, accumulated into a preallocated output, with no
+im2col buffer. Stride is a phase decomposition: each padded axis is extended
+to a multiple of its stride s and split into s phases, and tap t with
+dilation d reads phase (d*t) mod s at shift (d*t) div s (with dilation 2 and
+stride 2 every tap reads phase 0). Columns with j >= out_h or k >= out_w are
+gaps between output rows. The forward fills them with reads that wrap into
+the next row and crops them away. The backward GEMMs read grad_out in the
+same layout, so its gaps must be zero: a nonzero gap would scatter into the
+input gradient and the weight gradient, and they would no longer be exact
+adjoints of the forward.
+
+tconv3d is the conv input gradient plus a bias; its input gradient is the
+conv forward, and its weight gradient is the conv weight gradient with x and
+grad_out swapped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,73 +145,111 @@ def make_batchnorm(channels: int, dtype=np.float64, eps: float = 1e-5,
 
 
 # ---------------------------------------------------------------------------
-# Convolution family
+# Convolution family: one shift-and-GEMM kernel and its adjoints
 # ---------------------------------------------------------------------------
+
+class _TapPlan(NamedTuple):
+    out: tuple   # forward output dims
+    M: tuple     # phase lengths; each padded axis is M * stride long
+    L: int       # pitched columns up to and including the last output voxel
+    taps: list   # (kernel index, phase, flat offset into that phase)
+
+
+def _tap_plan(spec: ConvSpec, spatial) -> _TapPlan:
+    """Where every kernel tap of a conv over `spatial` input voxels reads."""
+    out = spec.out_dims(spatial)
+    M = tuple(-(-(n + 2 * p) // s)
+              for n, p, s in zip(spatial, spec.padding, spec.stride))
+    pitch = (M[1] * M[2], M[2], 1)
+    taps = []
+    for k in np.ndindex(*spec.kernel):
+        qr = [divmod(t * d, s) for t, d, s in zip(k, spec.dilation, spec.stride)]
+        taps.append((k, tuple(r for _, r in qr),
+                     sum(q * c for (q, _), c in zip(qr, pitch))))
+    return _TapPlan(out, M, 1 + sum((o - 1) * c for o, c in zip(out, pitch)), taps)
+
+
+def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
+    """Pad x once; return the flat (B, C, Md*Mh*Mw) phase buffers taps read."""
+    xq = np.pad(x, [(0, 0), (0, 0)] + [
+        (p, m * s - n - p) for n, p, s, m in
+        zip(x.shape[2:], spec.padding, spec.stride, plan.M)])
+    sd, sh, sw = spec.stride
+    return {r: np.ascontiguousarray(xq[:, :, r[0]::sd, r[1]::sh, r[2]::sw])
+            .reshape(x.shape[:2] + (-1,)) for r in {r for _, r, _ in plan.taps}}
+
+
+def _pitched(g, plan: _TapPlan) -> np.ndarray:
+    """g (B, C, *plan.out) in the pitched flat layout, zero in the gaps."""
+    gp = np.zeros(g.shape[:3] + plan.M[1:], dtype=g.dtype)
+    gp[..., :plan.out[1], :plan.out[2]] = g
+    return gp.reshape(g.shape[:2] + (-1,))[..., :plan.L]
+
+
+def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
+    """Conv without bias: pitched y = sum_t W_t @ x_phase[off_t: off_t + L]."""
+    B, O, L = next(iter(xph.values())).shape[0], w.shape[0], plan.L
+    (od, oh, ow), (_, Mh, Mw) = plan.out, plan.M
+    wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
+    yp = np.empty((B, O, od * Mh * Mw), dtype=dtype)
+    y, tmp = yp[..., :L], np.empty((B, O, L), dtype=dtype)
+    for i, (k, r, off) in enumerate(plan.taps):
+        t = np.matmul(wt[k], xph[r][..., off: off + L], out=tmp if i else y)
+        if i:
+            y += t
+    return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
+
+
+def _scatter_gemm(gyp, w, spec: ConvSpec, plan: _TapPlan, spatial, dtype):
+    """Adjoint of _shift_gemm: W_t^T @ gy into the phases, re-interleaved."""
+    B, C, L, M, s = gyp.shape[0], w.shape[1], plan.L, plan.M, spec.stride
+    wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
+    g = np.zeros(s + (B, C, M[0] * M[1] * M[2]), dtype=dtype)
+    tmp = np.empty((B, C, L), dtype=dtype)
+    for k, r, off in plan.taps:
+        g[r][..., off: off + L] += np.matmul(wt[k].T, gyp, out=tmp)
+    g = g.reshape(s + (B, C) + M).transpose(3, 4, 5, 0, 6, 1, 7, 2).reshape(
+        (B, C) + tuple(m * t for m, t in zip(M, s)))
+    return g[(..., *(slice(p, p + n) for p, n in zip(spec.padding, spatial)))]
+
+
+def _weight_gemm(gyp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
+    """gw_t = gy @ x_phase[off_t: off_t + L]^T, summed over the batch."""
+    gw = np.empty_like(w)
+    for k, r, off in plan.taps:
+        xs = xph[r][..., off: off + plan.L]
+        gw[(..., *k)] = np.matmul(gyp, xs.swapaxes(1, 2)).sum(axis=0)
+    return gw
+
 
 def conv3d(x, p: LayerParams) -> np.ndarray:
     """Strided, dilated 3D cross-correlation with zero padding and bias."""
-    x = as_nd(x)
-    spec = p.spec
+    x, spec = as_nd(x), p.spec
     B, C, D, H, W = x.shape
     if C != spec.in_channels:
         raise ValueError(f"input has {C} channels, layer expects {spec.in_channels}")
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    od, oh, ow = spec.out_dims((D, H, W))
-    if min(od, oh, ow) < 1:
-        raise ValueError(f"conv output dims {(od, oh, ow)} must all be >= 1")
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    y = np.zeros((B, spec.out_channels, od, oh, ow), dtype=x.dtype)
-    w = p.weight
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                xs = xp[:, :,
-                        a * dd: a * dd + od * sd: sd,
-                        b * dh: b * dh + oh * sh: sh,
-                        c * dw: c * dw + ow * sw: sw]
-                y += np.einsum("oc,bcdhw->bodhw", w[:, :, a, b, c], xs,
-                               optimize=True)
-    y += p.bias[None, :, None, None, None]
-    return y
+    plan = _tap_plan(spec, (D, H, W))
+    if min(plan.out) < 1:
+        raise ValueError(f"conv output dims {plan.out} must all be >= 1")
+    # Reserving the output before the temporaries keeps them from leaving
+    # heap holes under it; its pages are first touched after they are freed.
+    y = np.empty((B, spec.out_channels) + plan.out, dtype=x.dtype)
+    return np.add(_shift_gemm(_phases(x, spec, plan), p.weight, plan, x.dtype),
+                  p.bias[None, :, None, None, None], out=y)
 
 
 def conv3d_backward(x, p: LayerParams, grad_out):
     """Gradients of conv3d w.r.t. input, weight and bias."""
-    x = as_nd(x)
-    gy = as_nd(grad_out)
-    spec = p.spec
+    x, gy, spec = as_nd(x), as_nd(grad_out), p.spec
     B, C, D, H, W = x.shape
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    od, oh, ow = spec.out_dims((D, H, W))
-    if gy.shape != (B, spec.out_channels, od, oh, ow):
+    plan = _tap_plan(spec, (D, H, W))
+    if gy.shape != (B, spec.out_channels) + plan.out:
         raise ValueError(f"grad_out shape {gy.shape} does not match "
-                         f"conv output {(B, spec.out_channels, od, oh, ow)}")
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(p.weight)
-    w = p.weight
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                sl = (slice(None), slice(None),
-                      slice(a * dd, a * dd + od * sd, sd),
-                      slice(b * dh, b * dh + oh * sh, sh),
-                      slice(c * dw, c * dw + ow * sw, sw))
-                gw[:, :, a, b, c] = np.einsum("bodhw,bcdhw->oc", gy, xp[sl],
-                                              optimize=True)
-                gxp[sl] += np.einsum("oc,bodhw->bcdhw", w[:, :, a, b, c], gy,
-                                     optimize=True)
-    gx = gxp[:, :, pd: pd + D, ph: ph + H, pw: pw + W]
-    gb = gy.sum(axis=(0, 2, 3, 4))
-    return np.ascontiguousarray(gx), gw, gb
+                         f"conv output {(B, spec.out_channels) + plan.out}")
+    gyp = _pitched(gy, plan)
+    gx = _scatter_gemm(gyp, p.weight, spec, plan, (D, H, W), x.dtype)
+    gw = _weight_gemm(gyp, _phases(x, spec, plan), plan, p.weight)
+    return np.ascontiguousarray(gx), gw, gy.sum(axis=(0, 2, 3, 4))
 
 
 def tconv3d(x, p: LayerParams) -> np.ndarray:
@@ -202,70 +258,31 @@ def tconv3d(x, p: LayerParams) -> np.ndarray:
     Weight axes are (in_channels, out_channels, kd, kh, kw), so passing a
     conv3d weight unchanged yields that convolution's exact adjoint.
     """
-    x = as_nd(x)
-    spec = p.spec
+    x, spec = as_nd(x), p.spec
     B, C, D, H, W = x.shape
     if C != spec.in_channels:
         raise ValueError(f"input has {C} channels, layer expects {spec.in_channels}")
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    fd = (D - 1) * sd + dd * (kd - 1) + 1
-    fh = (H - 1) * sh + dh * (kh - 1) + 1
-    fw = (W - 1) * sw + dw * (kw - 1) + 1
-    od, oh, ow = fd - 2 * pd, fh - 2 * ph, fw - 2 * pw
-    if min(od, oh, ow) < 1:
-        raise ValueError(f"tconv output dims {(od, oh, ow)} must all be >= 1")
-
-    yf = np.zeros((B, spec.out_channels, fd, fh, fw), dtype=x.dtype)
-    w = p.weight
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                yf[:, :,
-                   a * dd: a * dd + D * sd: sd,
-                   b * dh: b * dh + H * sh: sh,
-                   c * dw: c * dw + W * sw: sw] += np.einsum(
-                    "co,bcdhw->bodhw", w[:, :, a, b, c], x, optimize=True)
-    y = yf[:, :, pd: pd + od, ph: ph + oh, pw: pw + ow]
+    out = spec.tconv_out_dims((D, H, W))
+    if min(out) < 1:
+        raise ValueError(f"tconv output dims {out} must all be >= 1")
+    plan = _tap_plan(spec, out)
+    y = _scatter_gemm(_pitched(x, plan), p.weight, spec, plan, out, x.dtype)
     return y + p.bias[None, :, None, None, None]
 
 
 def tconv3d_backward(x, p: LayerParams, grad_out):
     """Gradients of tconv3d w.r.t. input, weight and bias."""
-    x = as_nd(x)
-    gy = as_nd(grad_out)
-    spec = p.spec
+    x, gy, spec = as_nd(x), as_nd(grad_out), p.spec
     B, C, D, H, W = x.shape
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    od, oh, ow = spec.tconv_out_dims((D, H, W))
-    if gy.shape != (B, spec.out_channels, od, oh, ow):
+    out = spec.tconv_out_dims((D, H, W))
+    if gy.shape != (B, spec.out_channels) + out:
         raise ValueError(f"grad_out shape {gy.shape} does not match "
-                         f"tconv output {(B, spec.out_channels, od, oh, ow)}")
-
-    gyf = np.zeros((B, spec.out_channels, od + 2 * pd, oh + 2 * ph, ow + 2 * pw),
-                   dtype=gy.dtype)
-    gyf[:, :, pd: pd + od, ph: ph + oh, pw: pw + ow] = gy
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(p.weight)
-    w = p.weight
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                ys = gyf[:, :,
-                         a * dd: a * dd + D * sd: sd,
-                         b * dh: b * dh + H * sh: sh,
-                         c * dw: c * dw + W * sw: sw]
-                gw[:, :, a, b, c] = np.einsum("bcdhw,bodhw->co", x, ys,
-                                              optimize=True)
-                gx += np.einsum("co,bodhw->bcdhw", w[:, :, a, b, c], ys,
-                                optimize=True)
-    gb = gy.sum(axis=(0, 2, 3, 4))
-    return gx, gw, gb
+                         f"tconv output {(B, spec.out_channels) + out}")
+    plan = _tap_plan(spec, out)
+    gyph = _phases(gy, spec, plan)
+    gx = np.ascontiguousarray(_shift_gemm(gyph, p.weight, plan, x.dtype))
+    gw = _weight_gemm(_pitched(x, plan), gyph, plan, p.weight)
+    return gx, gw, gy.sum(axis=(0, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------

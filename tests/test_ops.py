@@ -160,6 +160,95 @@ def test_tconv_backward_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# conv family against a direct-sum reference
+# ---------------------------------------------------------------------------
+
+# (label, kind, c_in, c_out, kernel, stride, dilation, padding, batch,
+#  input dims, dtype, some conv input voxel is read by no output)
+CONV_TABLE = [
+    ("mixed-stride", "conv", 2, 3, 3, (1, 2, 3), 1, 1, 1, (5, 7, 10),
+     np.float64, False),
+    # dilation 2 with stride 2 reads only even voxels
+    ("lung-encoder", "conv", 2, 3, 3, 2, 2, 2, 2, (8, 9, 7), np.float64,
+     True),
+    ("skip-1x1x1-s2", "conv", 3, 2, 1, 2, 1, 0, 2, (6, 7, 5), np.float64,
+     True),
+    ("trailing-voxels", "conv", 2, 2, 3, 2, 1, 0, 1, (8, 9, 10), np.float64,
+     True),
+    ("mixed-dilation", "conv", 2, 3, (3, 2, 1), (3, 1, 2), (2, 1, 3),
+     (2, 0, 1), 2, (11, 6, 9), np.float64, True),
+    ("lung-encoder-f32", "conv", 2, 3, 3, 2, 2, 2, 1, (8, 8, 8), np.float32,
+     True),
+    ("up-2x2x2-s2", "tconv", 3, 2, 2, 2, 1, 0, 2, (3, 4, 5), np.float64,
+     False),
+    ("tconv-dilated", "tconv", 2, 2, 3, 1, 2, 2, 1, (4, 5, 6), np.float64,
+     False),
+    ("tconv-mixed-stride", "tconv", 2, 3, 3, (1, 2, 3), 1, 1, 2, (3, 4, 3),
+     np.float64, False),
+    ("up-2x2x2-s2-f32", "tconv", 3, 2, 2, 2, 1, 0, 1, (3, 3, 3), np.float32,
+     False),
+]
+
+
+def _direct_sum(kind, spec, x, w, b, gy):
+    """f64 loop reference for (y, gx, gw, gb) plus the read-voxel mask.
+
+    Conv output voxel o and tap t meet conv input voxel s*o + d*t - p. conv3d
+    maps the input side to the output side with W_t; tconv3d, with the conv
+    input side as its output, maps back with W_t^T.
+    """
+    x, w, b, gy = (a.astype(np.float64) for a in (x, w, b, gy))
+    conv_in, conv_out = (x.shape[2:], gy.shape[2:]) if kind == "conv" \
+        else (gy.shape[2:], x.shape[2:])
+    y, gx, gw = np.zeros(gy.shape), np.zeros(x.shape), np.zeros(w.shape)
+    read = np.zeros(conv_in, dtype=bool)
+    col = (slice(None), slice(None))
+    for o in np.ndindex(*conv_out):
+        for t in np.ndindex(*spec.kernel):
+            i = tuple(s * oo + d * tt - p for oo, tt, s, d, p in
+                      zip(o, t, spec.stride, spec.dilation, spec.padding))
+            if not all(0 <= ii < n for ii, n in zip(i, conv_in)):
+                continue
+            read[i] = True
+            xi, yi = (i, o) if kind == "conv" else (o, i)
+            m = w[col + t].T if kind == "conv" else w[col + t]
+            y[col + yi] += x[col + xi] @ m
+            gx[col + xi] += gy[col + yi] @ m.T
+            gm = x[col + xi].T @ gy[col + yi]
+            gw[col + t] += gm.T if kind == "conv" else gm
+    return y + b[None, :, None, None, None], gx, gw, gy.sum(axis=(0, 2, 3, 4)), read
+
+
+@pytest.mark.parametrize("row", CONV_TABLE, ids=[r[0] for r in CONV_TABLE])
+def test_conv_family_matches_direct_sum(row):
+    label, kind, ci, co, k, s, d, pad, batch, dims, dtype, unread = row
+    spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
+    rng = np.random.default_rng([7, CONV_TABLE.index(row)])
+    if kind == "conv":
+        fwd, bwd = conv3d, conv3d_backward
+        w_shape, out = (co, ci) + spec.kernel, spec.out_dims(dims)
+    else:
+        fwd, bwd = tconv3d, tconv3d_backward
+        w_shape, out = (ci, co) + spec.kernel, spec.tconv_out_dims(dims)
+    x = rng.standard_normal((batch, ci) + dims).astype(dtype)
+    p = LayerParams(rng.standard_normal(w_shape).astype(dtype),
+                    rng.standard_normal(co).astype(dtype), spec)
+    gy = rng.standard_normal((batch, co) + out).astype(dtype)
+
+    got = (fwd(x, p),) + tuple(bwd(x, p, gy))
+    *want, read = _direct_sum(kind, spec, x, p.weight, p.bias, gy)
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for name, g, r in zip(("y", "gx", "gw", "gb"), got, want):
+        assert g.dtype == dtype and g.shape == r.shape, name
+        np.testing.assert_allclose(g, r, rtol=rtol,
+                                   atol=rtol * np.abs(r).max(), err_msg=name)
+    if kind == "conv":
+        assert (~read).any() == unread
+        # voxels no output reads get an exact zero, not round-off
+        assert not got[1][:, :, ~read].any()
+
+
+# ---------------------------------------------------------------------------
 # maxpool3d
 # ---------------------------------------------------------------------------
 
