@@ -384,8 +384,13 @@ def save_manifest(manifest: SplitManifest, path) -> None:
 def load_manifest(path) -> SplitManifest:
     with open(str(path), "r", encoding="ascii") as fh:
         payload = json.load(fh)
-    return SplitManifest(train=list(payload["train"]), val=list(payload["val"]),
-                         test=list(payload["test"]), seed=int(payload["seed"]))
+    try:
+        return SplitManifest(train=list(payload["train"]),
+                             val=list(payload["val"]),
+                             test=list(payload["test"]),
+                             seed=int(payload["seed"]))
+    except KeyError as exc:
+        raise ValueError(f"split manifest {path} has no key {exc}") from None
 
 
 # ---------------------------------------------------------------------------

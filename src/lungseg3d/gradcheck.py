@@ -30,7 +30,11 @@ from .ops import ConvSpec, LayerParams
 ABS_FLOOR = 1e-8
 REL_DENOM_FLOOR = 1e-8
 H_SHALLOW = 1e-5
-H_DEEP = 1e-4
+# Block checks run through ReLUs. A step of 1e-4 let central differences
+# straddle ReLU kinks (false failures of residual_block at seeds 1 and 2 and
+# of attention_gate at seed 2); at 1e-7 round-off breaks the bias checks
+# that batchnorm cancels.
+H_DEEP = 1e-6
 TOL_DEFAULT = 1e-4
 TOL_NETWORK = 1e-3
 

@@ -124,22 +124,31 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
 
 def load_checkpoint(ckpt_dir) -> TrainState:
     """Rebuild the network and optimizer state from a checkpoint directory."""
-    with open(os.path.join(ckpt_dir, "manifest.json"), "r",
-              encoding="ascii") as fh:
+    path = os.path.join(ckpt_dir, "manifest.json")
+    with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    cfg = manifest["config"]
-    config = NetworkConfig(stage_channels=cfg["stage_channels"],
-                           input_geometry=tuple(cfg["input_geometry"]),
-                           attn_window=tuple(cfg["attn_window"]),
-                           dropout_rate=cfg["dropout_rate"],
-                           output_channels=cfg["output_channels"])
-    net = build_network(manifest["kind"], config, manifest["seed"])
-    tensors = manifest["tensors"]
+    try:
+        cfg, a = manifest["config"], manifest["adam"]
+        config = NetworkConfig(stage_channels=cfg["stage_channels"],
+                               input_geometry=tuple(cfg["input_geometry"]),
+                               attn_window=tuple(cfg["attn_window"]),
+                               dropout_rate=cfg["dropout_rate"],
+                               output_channels=cfg["output_channels"])
+        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+                         eps=a["eps"], t=a["t"])
+        kind, seed = manifest["kind"], manifest["seed"]
+        epoch, best_val_dice = manifest["epoch"], manifest["best_val_dice"]
+        tensors = {name: (entry["file"], entry["role"])
+                   for name, entry in manifest["tensors"].items()}
+    except KeyError as exc:
+        raise ValueError(
+            f"checkpoint manifest {path} has no key {exc}") from None
+    net = build_network(kind, config, seed)
 
     for var in net.params():
         if var.name not in tensors:
             raise ValueError(f"checkpoint missing parameter {var.name!r}")
-        arr = load_array(os.path.join(ckpt_dir, tensors[var.name]["file"]))
+        arr = load_array(os.path.join(ckpt_dir, tensors[var.name][0]))
         if arr.shape != var.data.shape:
             raise ValueError(f"checkpoint shape {arr.shape} != expected "
                              f"{var.data.shape} for {var.name!r}")
@@ -150,20 +159,15 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         bn.state.running_var = load_array(
             os.path.join(ckpt_dir, f"{bn.name}.running_var"))
 
-    a = manifest["adam"]
-    adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                     eps=a["eps"], t=a["t"])
-    for name, entry in tensors.items():
-        if entry["role"] == "adam_moment1":
+    for name, (fname, role) in tensors.items():
+        if role == "adam_moment1":
             adam.m[name[len("adam.m."):]] = load_array(
-                os.path.join(ckpt_dir, entry["file"]))
-        elif entry["role"] == "adam_moment2":
+                os.path.join(ckpt_dir, fname))
+        elif role == "adam_moment2":
             adam.v[name[len("adam.v."):]] = load_array(
-                os.path.join(ckpt_dir, entry["file"]))
-    return TrainState(net=net, kind=manifest["kind"], config=config,
-                      adam=adam, epoch=manifest["epoch"],
-                      seed=manifest["seed"],
-                      best_val_dice=manifest["best_val_dice"])
+                os.path.join(ckpt_dir, fname))
+    return TrainState(net=net, kind=kind, config=config, adam=adam,
+                      epoch=epoch, seed=seed, best_val_dice=best_val_dice)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,18 @@ def _epoch_order(train_ids, seed: int, epoch: int):
     return [train_ids[i] for i in rng.permutation(len(train_ids))]
 
 
+def _truncate_log(log_path, last_epoch: int) -> None:
+    """Keep only the log rows of epochs up to last_epoch, the ones a resumed
+    checkpoint has seen; later rows would be written again."""
+    rows = []
+    if os.path.exists(log_path):
+        with open(log_path, "r", encoding="ascii") as fh:
+            rows = [line for line in fh.read().splitlines()[1:]
+                    if int(line.split(",", 1)[0]) <= last_epoch]
+    with open(log_path, "w", encoding="ascii") as fh:
+        fh.write("".join(line + "\n" for line in [LOG_HEADER] + rows))
+
+
 def train_step(net, params, sample, adam: AdamState, drop_rng) -> float:
     """Forward, combined loss, backward, one Adam update. Returns the loss."""
     x = Var(sample.image.data)
@@ -224,9 +240,7 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
         if state.kind != kind:
             raise ValueError(f"checkpoint is for {state.kind!r}, not {kind!r}")
         start_epoch = state.epoch + 1
-        if not os.path.exists(log_path):
-            with open(log_path, "w", encoding="ascii") as fh:
-                fh.write(LOG_HEADER + "\n")
+        _truncate_log(log_path, state.epoch)
     else:
         net = build_network(kind, config, seed)
         state = TrainState(net=net, kind=kind, config=config,

@@ -6,6 +6,8 @@ import pytest
 
 from lungseg3d.cli import main
 from lungseg3d.data import load_manifest, load_mhd, load_sample
+from lungseg3d.networks import NetworkConfig, build_network
+from lungseg3d.train import AdamState, TrainState, save_checkpoint
 
 MICRO_FLAGS = ["--stage-channels", "2,4,8,16",
                "--input-geometry", "1,32,32,32"]
@@ -89,6 +91,47 @@ def test_missing_checkpoint_directory_is_io_error(tmp_path, capsys):
 def test_train_requires_manifest(capsys):
     assert main(["train", "--net", "nodule"]) == 1
     assert "manifest" in capsys.readouterr().err
+
+
+# (manifest, path of the key removed from a valid one)
+MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
+             ("split", ("seed",)),
+             ("checkpoint", ("kind",)), ("checkpoint", ("seed",)),
+             ("checkpoint", ("epoch",)), ("checkpoint", ("best_val_dice",)),
+             ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
+             ("checkpoint", ("config", "stage_channels"))]
+
+
+@pytest.mark.parametrize("which,key", MALFORMED,
+                         ids=[f"{w}-{'.'.join(k)}" for w, k in MALFORMED])
+def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key):
+    split = {"train": ["a"], "val": ["b"], "test": ["c"], "seed": 0}
+    ckpt = tmp_path / "ckpt"
+    config = NetworkConfig(stage_channels=[2, 4, 8, 16],
+                           input_geometry=(1, 32, 32, 32))
+    save_checkpoint(ckpt, TrainState(
+        net=build_network("nodule", config, 0), kind="nodule", config=config,
+        adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
+    split_path, ckpt_path = tmp_path / "split.json", ckpt / "manifest.json"
+    path = split_path if which == "split" else ckpt_path
+    payload = split if which == "split" else json.loads(path.read_text())
+    node = payload
+    for k in key[:-1]:
+        node = node[k]
+    del node[key[-1]]
+    path.write_text(json.dumps(payload))
+    if which == "split":
+        argv = ["train", "--net", "nodule", "--manifest", str(split_path),
+                "--sample-dir", str(tmp_path), "--out", str(tmp_path / "run"),
+                *MICRO_FLAGS]
+    else:
+        split_path.write_text(json.dumps(split))
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest",
+                str(split_path), "--sample-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert str(path) in err[0] and repr(key[-1]) in err[0], err[0]
 
 
 def test_pipeline_train_eval_predict_heatmap(tmp_path, capsys):

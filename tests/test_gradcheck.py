@@ -83,3 +83,14 @@ def test_block_check_runs_clean():
     assert all(r.passed for r in reports)
     tensors = {r.tensor for r in reports}
     assert any("weight" in t for t in tensors)
+
+
+@pytest.mark.parametrize("target,seed", [("residual_block", 1),
+                                         ("residual_block", 2),
+                                         ("attention_gate", 2)])
+def test_block_checks_pass_at_seeds_with_relu_kinks(target, seed):
+    # these seeds put ReLU inputs within 1e-4 of zero, where a coarse
+    # central-difference probe crosses the kink
+    reports = check_gradients(target, seed=seed)
+    assert reports and all(r.passed for r in reports), \
+        [(r.tensor, r.max_rel_err) for r in reports if not r.passed]

@@ -13,7 +13,7 @@ from lungseg3d.ops import (ConvSpec, LayerParams, activation, batchnorm3d,
                            pad3d, pad3d_backward, relu, relu_backward,
                            sigmoid, sigmoid_backward, softmax_lastdim,
                            softmax_lastdim_backward, tconv3d, tconv3d_backward,
-                           unfold_windows)
+                           unfold_windows, _block_cols, _tap_plan)
 
 
 def _params(rng, spec):
@@ -187,35 +187,51 @@ CONV_TABLE = [
      np.float64, False),
     ("up-2x2x2-s2-f32", "tconv", 3, 2, 2, 2, 1, 0, 1, (3, 3, 3), np.float32,
      False),
+    # "-blocks" rows span at least three column blocks of the GEMM loops,
+    # the last one partial (test_conv_block_rows_span_three_blocks)
+    ("dilated-blocks", "conv", 4, 4, 3, 1, 2, 2, 1, (10, 40, 50), np.float64,
+     False),
+    ("dilated-blocks-f32", "conv", 4, 4, 3, 1, 2, 2, 1, (10, 40, 50),
+     np.float32, False),
+    ("lung-encoder-blocks", "conv", 4, 4, 3, 2, 2, 2, 1, (24, 90, 90),
+     np.float64, True),
+    ("lung-encoder-blocks-f32", "conv", 4, 4, 3, 2, 2, 2, 1, (24, 90, 90),
+     np.float32, True),
+    ("up-2x2x2-s2-blocks", "tconv", 4, 3, 2, 2, 1, 0, 1, (10, 50, 60),
+     np.float64, False),
+    ("up-2x2x2-s2-blocks-f32", "tconv", 4, 3, 2, 2, 1, 0, 1, (10, 50, 60),
+     np.float32, False),
 ]
 
 
 def _direct_sum(kind, spec, x, w, b, gy):
-    """f64 loop reference for (y, gx, gw, gb) plus the read-voxel mask.
+    """f64 reference for (y, gx, gw, gb) plus the read-voxel mask.
 
     Conv output voxel o and tap t meet conv input voxel s*o + d*t - p. conv3d
     maps the input side to the output side with W_t; tconv3d, with the conv
-    input side as its output, maps back with W_t^T.
+    input side as its output, maps back with W_t^T. Each tap is summed over
+    all output voxels at once; within one tap, o -> s*o + d*t - p is one to
+    one, so fancy-indexed += adds every term.
     """
     x, w, b, gy = (a.astype(np.float64) for a in (x, w, b, gy))
     conv_in, conv_out = (x.shape[2:], gy.shape[2:]) if kind == "conv" \
         else (gy.shape[2:], x.shape[2:])
     y, gx, gw = np.zeros(gy.shape), np.zeros(x.shape), np.zeros(w.shape)
     read = np.zeros(conv_in, dtype=bool)
-    col = (slice(None), slice(None))
-    for o in np.ndindex(*conv_out):
-        for t in np.ndindex(*spec.kernel):
-            i = tuple(s * oo + d * tt - p for oo, tt, s, d, p in
-                      zip(o, t, spec.stride, spec.dilation, spec.padding))
-            if not all(0 <= ii < n for ii, n in zip(i, conv_in)):
-                continue
-            read[i] = True
-            xi, yi = (i, o) if kind == "conv" else (o, i)
-            m = w[col + t].T if kind == "conv" else w[col + t]
-            y[col + yi] += x[col + xi] @ m
-            gx[col + xi] += gy[col + yi] @ m.T
-            gm = x[col + xi].T @ gy[col + yi]
-            gw[col + t] += gm.T if kind == "conv" else gm
+    for t in np.ndindex(*spec.kernel):
+        src = [s * np.arange(n) + d * tt - p for n, tt, s, d, p in
+               zip(conv_out, t, spec.stride, spec.dilation, spec.padding)]
+        ok = [(i >= 0) & (i < n) for i, n in zip(src, conv_in)]
+        o = np.ix_(*[np.flatnonzero(k) for k in ok])
+        i = np.ix_(*[si[k] for si, k in zip(src, ok)])
+        read[i] = True
+        xi, yi = (i, o) if kind == "conv" else (o, i)
+        xi, yi = (..., *xi), (..., *yi)
+        m = w[(..., *t)].T if kind == "conv" else w[(..., *t)]
+        y[yi] += np.einsum("bc...,cd->bd...", x[xi], m)
+        gx[xi] += np.einsum("bd...,cd->bc...", gy[yi], m)
+        gm = np.tensordot(x[xi], gy[yi], axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+        gw[(..., *t)] += gm.T if kind == "conv" else gm
     return y + b[None, :, None, None, None], gx, gw, gy.sum(axis=(0, 2, 3, 4)), read
 
 
@@ -236,6 +252,10 @@ def test_conv_family_matches_direct_sum(row):
     gy = rng.standard_normal((batch, co) + out).astype(dtype)
 
     got = (fwd(x, p),) + tuple(bwd(x, p, gy))
+    # a second call on the same input gives the same bytes
+    again = (fwd(x, p),) + tuple(bwd(x, p, gy))
+    for name, g, h in zip(("y", "gx", "gw", "gb"), got, again):
+        assert g.tobytes() == h.tobytes(), name
     *want, read = _direct_sum(kind, spec, x, p.weight, p.bias, gy)
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     for name, g, r in zip(("y", "gx", "gw", "gb"), got, want):
@@ -246,6 +266,27 @@ def test_conv_family_matches_direct_sum(row):
         assert (~read).any() == unread
         # voxels no output reads get an exact zero, not round-off
         assert not got[1][:, :, ~read].any()
+
+
+@pytest.mark.parametrize("row", [r for r in CONV_TABLE if "-blocks" in r[0]],
+                         ids=lambda r: r[0])
+def test_conv_block_rows_span_three_blocks(row):
+    """Both GEMM loops of each "-blocks" row run over at least three column
+    blocks, and the last block is partial."""
+    label, kind, ci, co, k, s, d, pad, batch, dims, dtype, _ = row
+    spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
+    # conv: the forward shifts into L output columns and the input gradient
+    # scatters into the phases; tconv swaps the two loops and channel roles
+    if kind == "conv":
+        plan, shift_rows, scatter_rows = _tap_plan(spec, dims), co, ci
+    else:
+        plan = _tap_plan(spec, spec.tconv_out_dims(dims))
+        shift_rows, scatter_rows = ci, co
+    size = np.dtype(dtype).itemsize
+    for cols, acc, inp in ((plan.L, shift_rows, scatter_rows),
+                           (int(np.prod(plan.M)), scatter_rows, shift_rows)):
+        nb = _block_cols(batch * acc, batch * inp, size)
+        assert cols > 2 * nb and cols % nb, (label, cols, nb)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_train_resume_continues_epoch_count(tmp_path):
     with pytest.raises(ValueError):
         train("lung", man, d, out, _nodule_config(), epochs=4, seed=0,
               resume_from=out / "last")
+
+
+def test_train_resume_from_best_truncates_log(tmp_path):
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
+    man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
+    out = tmp_path / "run"
+    train("nodule", man, d, out, _nodule_config(), epochs=1, seed=0)
+    shutil.copytree(out / "best", tmp_path / "best0")
+    train("nodule", man, d, out, _nodule_config(), epochs=4, seed=0,
+          resume_from=out / "last")
+    full = (out / "log.csv").read_text()
+    # the log already holds epochs 1-3, which the epoch-0 checkpoint never saw
+    state = train("nodule", man, d, out, _nodule_config(), epochs=4, seed=0,
+                  resume_from=tmp_path / "best0")
+    assert state.epoch == 3
+    log = (out / "log.csv").read_text()
+    assert [line.split(",")[0] for line in log.splitlines()[1:]] == \
+        ["0", "1", "2", "3"]
+    assert log == full  # epochs 1-3 rerun from the same state
 
 
 def test_train_missing_sample_raises(tmp_path):
