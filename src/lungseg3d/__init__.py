@@ -7,10 +7,10 @@ blocks), a BCE+Dice objective, a MetaImage-based CT preprocessing pipeline,
 and a deterministic training loop.
 """
 
-from .tensor import Tensor5, from_array, tensor_map2, tensor_new, tensor_reduce
+from .tensor import Tensor5
 from .ops import BatchNormState, ConvSpec, LayerParams
 from .autograd import Var, no_grad, run_backward
-from .networks import (ForwardTrace, GatedResidualUNet3d, NetworkConfig,
+from .networks import (GatedResidualUNet3d, NetworkConfig,
                        WindowAttentionUNet3d, build_network, predict_volume)
 from .losses import (LossValue, SegMetrics, bce_loss, combined_loss,
                      dice_loss, export_heatmap, seg_metrics)

@@ -63,10 +63,6 @@ class Var:
         return f"Var(shape={self.data.shape}, name={self.name!r})"
 
 
-def leaf(data, name: str = "") -> Var:
-    return Var(np.asarray(data), name=name)
-
-
 def accumulate(v: Var, g: np.ndarray):
     if v.grad is None:
         v.grad = np.zeros_like(v.data)
@@ -126,7 +122,7 @@ def conv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
     y = ops.conv3d(xd, p)
 
     def bw(g):
-        gx, gw, gb = ops.conv3d_backward(xd, LayerParams(w.data, b.data, spec), g)
+        gx, gw, gb = ops.conv3d_backward(xd, p, g)
         accumulate(x, gx)
         accumulate(w, gw)
         accumulate(b, gb)
@@ -140,7 +136,7 @@ def tconv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
     y = ops.tconv3d(xd, p)
 
     def bw(g):
-        gx, gw, gb = ops.tconv3d_backward(xd, LayerParams(w.data, b.data, spec), g)
+        gx, gw, gb = ops.tconv3d_backward(xd, p, g)
         accumulate(x, gx)
         accumulate(w, gw)
         accumulate(b, gb)
@@ -149,9 +145,7 @@ def tconv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, bn: BatchNormState, mode: str) -> Var:
-    bn.gamma = gamma.data
-    bn.beta = beta.data
-    y, cache = ops.batchnorm3d(x.data, bn, mode)
+    y, cache = ops.batchnorm3d(x.data, gamma.data, beta.data, bn, mode)
 
     def bw(g):
         gx, dgamma, dbeta = ops.batchnorm3d_backward(cache, g)

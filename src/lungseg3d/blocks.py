@@ -3,7 +3,8 @@ gate, windowed self-attention, and the plain double-conv block.
 
 Each block owns its parameters as autograd Vars and exposes forward methods
 taking and returning Vars. Parameter names are hierarchical dotted strings so
-checkpoints can address every tensor individually.
+checkpoints can address every tensor individually. The same names key the
+`capture` hook, which reads layer and block outputs off an ordinary forward.
 
 Initialization: fan-in scaled normal weights (gain 2 for the ReLU paths),
 zero biases, unit batchnorm gain, zero batchnorm offset, zero attention
@@ -18,6 +19,41 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Var
 from .ops import BatchNormState, ConvSpec
+
+
+class capture:
+    """`with capture("gate1.mask", "enc2") as got:` fills the dict `got`
+    with the last array recorded under each requested name. Every layer and
+    block records its output under its dotted name, attention gates their
+    mask as `<gate>.mask`, window attention its (B, N, T, T) weights as
+    `<attn>.weights`. A requested name left unrecorded raises KeyError."""
+
+    def __init__(self, *names):
+        self.names = frozenset(names)
+        self.got = {}
+
+    def __enter__(self):
+        global _capture
+        self._prev = _capture
+        _capture = self
+        return self.got
+
+    def __exit__(self, exc_type, *exc):
+        global _capture
+        _capture = self._prev
+        missing = self.names - self.got.keys()
+        if exc_type is None and missing:
+            raise KeyError(f"capture: nothing recorded {sorted(missing)}")
+        return False
+
+
+_capture = None  # the innermost active capture
+
+
+def _record(name: str, v: Var) -> Var:
+    if _capture is not None and name in _capture.names:
+        _capture.got[name] = v.data
+    return v
 
 
 def conv_weight(rng, c_out: int, c_in: int, kernel, dtype) -> np.ndarray:
@@ -48,7 +84,7 @@ class Conv3d:
                      name=f"{name}.bias")
 
     def __call__(self, x: Var) -> Var:
-        return ag.conv(x, self.w, self.b, self.spec)
+        return _record(self.name, ag.conv(x, self.w, self.b, self.spec))
 
     def params(self):
         yield self.w
@@ -67,7 +103,7 @@ class TConv3d:
                      name=f"{name}.bias")
 
     def __call__(self, x: Var) -> Var:
-        return ag.tconv(x, self.w, self.b, self.spec)
+        return _record(self.name, ag.tconv(x, self.w, self.b, self.spec))
 
     def params(self):
         yield self.w
@@ -83,13 +119,13 @@ class BatchNorm3d:
         self.gamma = Var(np.ones(channels, dtype=dtype), name=f"{name}.gamma")
         self.beta = Var(np.zeros(channels, dtype=dtype), name=f"{name}.beta")
         self.state = BatchNormState(
-            gamma=self.gamma.data, beta=self.beta.data,
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
             eps=eps, momentum=momentum)
 
     def __call__(self, x: Var, mode: str) -> Var:
-        return ag.batchnorm(x, self.gamma, self.beta, self.state, mode)
+        return _record(self.name, ag.batchnorm(x, self.gamma, self.beta,
+                                               self.state, mode))
 
     def params(self):
         yield self.gamma
@@ -130,7 +166,7 @@ class ResidualBlock3d:
         f = ag.relu(f)
         f = self.bn2(self.conv2(f), mode)
         s = self.skip(x) if self.skip is not None else x
-        return ag.relu(ag.add(s, f))
+        return _record(self.name, ag.relu(ag.add(s, f)))
 
     def params(self):
         yield from self.conv1.params()
@@ -178,16 +214,9 @@ class AttentionGate3d:
         a = ag.relu(ag.add(self.enc_proj(x_enc),
                            self.gate_up(self.gate_proj(g_dec))))
         j = ag.relu(self.mix(a))
-        z0 = ag.sigmoid(self.mask_head(j))
-        return ag.channel_scale(self.input_proj(x_enc), z0)
-
-    def mask(self, x_enc: Var, g_dec: Var) -> np.ndarray:
-        """The 1-channel gate mask, for inspection."""
-        with ag.no_grad():
-            a = ag.relu(ag.add(self.enc_proj(x_enc),
-                               self.gate_up(self.gate_proj(g_dec))))
-            j = ag.relu(self.mix(a))
-            return ag.sigmoid(self.mask_head(j)).data
+        z0 = _record(f"{self.name}.mask", ag.sigmoid(self.mask_head(j)))
+        return _record(self.name,
+                       ag.channel_scale(self.input_proj(x_enc), z0))
 
     def params(self):
         for layer in (self.enc_proj, self.gate_proj, self.gate_up, self.mix,
@@ -219,27 +248,17 @@ class WindowAttention3d:
                            rng, dtype)
         self.gamma = Var(np.zeros((), dtype=dtype), name=f"{name}.gamma")
 
-    def _attention(self, x: Var):
+    def forward(self, x: Var) -> Var:
         c = self.channels
-        spatial = x.data.shape[2:]
         t = self.qkv(x)
         q = ag.unfold(ag.slice_channels(t, 0, c), self.window)
         k = ag.unfold(ag.slice_channels(t, c, 2 * c), self.window)
         v = ag.unfold(ag.slice_channels(t, 2 * c, 3 * c), self.window)
         scores = ag.const_mul(ag.matmul_qk(q, k), 1.0 / math.sqrt(c))
-        attn = ag.softmax_lastdim(scores)
-        o = ag.fold(ag.matmul_av(attn, v), self.window, spatial)
-        return attn, o
-
-    def forward(self, x: Var) -> Var:
-        attn, o = self._attention(x)
-        return ag.add(x, ag.scale_by(self.proj(o), self.gamma))
-
-    def attention_map(self, x: Var) -> np.ndarray:
-        """Per-window attention weights (B, N, T, T), for inspection."""
-        with ag.no_grad():
-            attn, _ = self._attention(x)
-        return attn.data
+        attn = _record(f"{self.name}.weights", ag.softmax_lastdim(scores))
+        o = ag.fold(ag.matmul_av(attn, v), self.window, x.data.shape[2:])
+        return _record(self.name,
+                       ag.add(x, ag.scale_by(self.proj(o), self.gamma)))
 
     def params(self):
         yield from self.qkv.params()
@@ -269,8 +288,8 @@ class DoubleConvBlock3d:
         h = ag.relu(self.bn1(self.conv1(x), mode))
         h = ag.dropout(h, self.dropout_rate, mode, rng)
         h = ag.relu(self.bn2(self.conv2(h), mode))
-        h = ag.dropout(h, self.dropout_rate, mode, rng)
-        return h
+        return _record(self.name,
+                       ag.dropout(h, self.dropout_rate, mode, rng))
 
     def params(self):
         yield from self.conv1.params()

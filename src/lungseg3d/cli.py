@@ -298,7 +298,7 @@ def _cmd_heatmap(args, cfg: RunConfig) -> int:
     state = load_checkpoint(cfg.checkpoint)
     sample = data.load_sample(cfg.sample_dir, args.sample_id)
     with no_grad():
-        prob = state.net.probability(Var(sample.image.data), "eval")
+        prob = state.net.forward(Var(sample.image.data), "eval")
     export_heatmap(prob.data, args.slice_index, args.out, color=args.color)
     print(json.dumps({"id": args.sample_id, "slice": args.slice_index,
                       "out": args.out}, sort_keys=True))

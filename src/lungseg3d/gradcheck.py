@@ -311,9 +311,8 @@ def _check_batchnorm(seed, tol):
         x = Var(_rand(rng, (2, 3, 4, 4, 4)))
         gamma = Var(rng.uniform(0.5, 1.5, size=3))
         beta = Var(_rand(rng, (3,)))
-        bn = ops.make_batchnorm(3, dtype=np.float64)
-        bn.running_mean = _rand(rng, (3,)) * 0.1
-        bn.running_var = rng.uniform(0.5, 1.5, size=3)
+        bn = ops.BatchNormState(running_mean=_rand(rng, (3,)) * 0.1,
+                                running_var=rng.uniform(0.5, 1.5, size=3))
         r = _rand(rng, x.data.shape)
         rm, rv = bn.running_mean.copy(), bn.running_var.copy()
 
@@ -698,10 +697,7 @@ def _check_lung_net(seed, tol):
     xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
     r = _rand(rng, (4, 1, 16, 16, 16))
 
-    def loss_fn():
-        p, _ = net.forward(xv, "train")
-        return _project(p, r)
-
+    loss_fn = lambda: _project(net.forward(xv, "train"), r)
     return _sampled_network_check("lung_net", net, loss_fn, seed, tol)
 
 
@@ -716,8 +712,5 @@ def _check_nodule_net(seed, tol):
     xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
     r = _rand(rng, (4, 1, 16, 16, 16))
 
-    def loss_fn():
-        p = net.forward(xv, "train", None)
-        return _project(p, r)
-
+    loss_fn = lambda: _project(net.forward(xv, "train"), r)
     return _sampled_network_check("nodule_net", net, loss_fn, seed, tol)

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Var, accumulate, from_op
+from .autograd import Var, accumulate, from_op, no_grad
 from .ops import as_nd
-from .tensor import Tensor5
 
 CLAMP_EPS = 1e-7
 DICE_SMOOTH = 1e-6
@@ -102,21 +101,19 @@ def combined_term(p: Var, mask) -> Var:
 # Plain scalar API (evaluation, logging)
 # ---------------------------------------------------------------------------
 
+def _scalar(term, p, mask) -> float:
+    """Value of a tape term on f64 copies of its inputs, recording nothing."""
+    with no_grad():
+        return float(term(Var(_unwrap(p).astype(np.float64)),
+                          _unwrap(mask).astype(np.float64)).data)
+
+
 def bce_loss(p, mask) -> float:
-    p = _unwrap(p)
-    m = _unwrap(mask)
-    _check_shapes(p, m)
-    pc = np.clip(p.astype(np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return float(-(m * np.log(pc) + (1.0 - m) * np.log1p(-pc)).mean())
+    return _scalar(bce_term, p, mask)
 
 
 def dice_loss(p, mask) -> float:
-    p = _unwrap(p).astype(np.float64)
-    m = _unwrap(mask).astype(np.float64)
-    _check_shapes(p, m)
-    num = 2.0 * (m * p).sum()
-    den = (m * m).sum() + (p * p).sum() + DICE_SMOOTH
-    return float(1.0 - num / den)
+    return _scalar(dice_term, p, mask)
 
 
 def combined_loss(p, mask) -> LossValue:

@@ -14,13 +14,13 @@ sigmoid head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Var
-from .blocks import (AttentionGate3d, BatchNorm3d, Conv3d, DoubleConvBlock3d,
+from .blocks import (AttentionGate3d, Conv3d, DoubleConvBlock3d,
                      ResidualBlock3d, TConv3d, WindowAttention3d)
 from .ops import ConvSpec
 from .tensor import Tensor5
@@ -72,18 +72,6 @@ def lung_default_config() -> NetworkConfig:
 def nodule_default_config() -> NetworkConfig:
     return NetworkConfig(stage_channels=[16, 32, 64, 128],
                          input_geometry=(1, 64, 64, 64))
-
-
-@dataclass
-class ForwardTrace:
-    """Stage activations kept for inspection: encoder outputs shallow to
-    deep, the bottleneck, decoder outputs deep to shallow, and the four
-    attention gate outputs in the same order as the decoders."""
-
-    encoders: list = field(default_factory=list)
-    bottleneck: Var = None
-    decoders: list = field(default_factory=list)
-    gates: list = field(default_factory=list)
 
 
 def _pad_plan(spatial, multiple: int):
@@ -145,8 +133,9 @@ class GatedResidualUNet3d:
                                               padding=(1, 1, 1)), rng, dtype)
         self.post2.b.data[...] = HEAD_BIAS_INIT
 
-    def forward(self, x: Var, mode: str):
-        """Returns (probability volume, ForwardTrace)."""
+    def forward(self, x: Var, mode: str, rng=None) -> Var:
+        """Probability volume with the input's spatial shape. The net has no
+        dropout, so rng is unused; it keeps one signature for both nets."""
         c_in = self.config.input_geometry[0]
         if x.data.shape[1] != c_in:
             raise ValueError(f"input has {x.data.shape[1]} channels, "
@@ -156,33 +145,22 @@ class GatedResidualUNet3d:
         padded = any(lo + hi for lo, hi in pads)
         xp = ag.pad(x, pads) if padded else x
 
-        trace = ForwardTrace()
         e1 = self.enc1.forward(xp, mode)
         e2 = self.enc2.forward(e1, mode)
         e3 = self.enc3.forward(e2, mode)
         e4 = self.enc4.forward(e3, mode)
-        trace.encoders = [e1, e2, e3, e4]
-        b = self.bottleneck.forward(e4, mode)
-        trace.bottleneck = b
-
-        taps = [e3, e2, e1, xp]
-        state = b
+        state = self.bottleneck.forward(e4, mode)
         for upl, mixl, gate, dec, tap in zip(self.ups, self.mixes, self.gates,
-                                             self.decs, taps):
+                                             self.decs, (e3, e2, e1, xp)):
             d_i = mixl(upl(state))
             a_i = gate.forward(tap, state)
-            trace.gates.append(a_i)
             state = dec.forward(ag.concat(a_i, d_i), mode)
-            trace.decoders.append(state)
 
         h = self.head(state)
         if padded:
             h = ag.center_crop(h, spatial)
         h = self.post2(self.post1(h))
-        return ag.sigmoid(h), trace
-
-    def probability(self, x: Var, mode: str, rng=None) -> Var:
-        return self.forward(x, mode)[0]
+        return ag.sigmoid(h)
 
     def params(self):
         for block in (self.enc1, self.enc2, self.enc3, self.enc4,
@@ -267,9 +245,6 @@ class WindowAttentionUNet3d:
             h = dec.forward(ag.concat(skip, upl(h)), mode, rng)
         return ag.sigmoid(self.head(h))
 
-    def probability(self, x: Var, mode: str, rng=None) -> Var:
-        return self.forward(x, mode, rng)
-
     def params(self):
         for block in (self.enc1, self.enc2, self.enc3, self.enc4,
                       self.bottleneck):
@@ -305,6 +280,6 @@ def predict_volume(net, volume, threshold: float = 0.5) -> Tensor5:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
     arr = volume.data if isinstance(volume, Tensor5) else np.asarray(volume)
     with ag.no_grad():
-        prob = net.probability(Var(arr), "eval")
+        prob = net.forward(Var(arr), "eval")
     mask = (prob.data >= threshold).astype(arr.dtype)
     return Tensor5(mask)

@@ -132,30 +132,17 @@ class LayerParams:
 
 @dataclass
 class BatchNormState:
-    """Per-channel affine parameters and running statistics.
+    """Per-channel running statistics of one batchnorm layer; the learnable
+    gain and offset are passed to batchnorm3d by the layer that owns them.
 
     Normalization uses the biased variance estimator. Running stats are
     updated in train mode only: new = (1 - momentum) * old + momentum * batch.
     """
 
-    gamma: np.ndarray
-    beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
     momentum: float = 0.1
-
-
-def make_batchnorm(channels: int, dtype=np.float64, eps: float = 1e-5,
-                   momentum: float = 0.1) -> BatchNormState:
-    return BatchNormState(
-        gamma=np.ones(channels, dtype=dtype),
-        beta=np.zeros(channels, dtype=dtype),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-        eps=eps,
-        momentum=momentum,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +367,17 @@ def _ch(v):
     return v[None, :, None, None, None]
 
 
-def batchnorm3d(x, state: BatchNormState, mode: str):
-    """Per-channel batch normalization; returns (y, cache).
+def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
+    """Per-channel batch normalization y = gamma * xhat + beta; returns
+    (y, cache).
 
     Train mode normalizes by batch statistics over (B, D, H, W) and updates
     the running stats in place; eval mode normalizes by the running stats.
     """
     x = as_nd(x)
     C = x.shape[1]
-    if state.gamma.shape[0] != C:
-        raise ValueError(f"batchnorm has {state.gamma.shape[0]} channels, input has {C}")
+    if gamma.shape[0] != C:
+        raise ValueError(f"batchnorm has {gamma.shape[0]} channels, input has {C}")
     if mode == "train":
         mu = x.mean(axis=_BN_AXES)
         var = x.var(axis=_BN_AXES)
@@ -405,8 +393,8 @@ def batchnorm3d(x, state: BatchNormState, mode: str):
         xhat = (x - _ch(state.running_mean)) * _ch(invstd)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    y = _ch(state.gamma) * xhat + _ch(state.beta)
-    cache = (xhat, invstd, state.gamma, mode)
+    y = _ch(gamma) * xhat + _ch(beta)
+    cache = (xhat, invstd, gamma, mode)
     return y, cache
 
 
@@ -454,14 +442,6 @@ def sigmoid_backward(y, grad_out):
     """Backward from the forward output y = sigmoid(x)."""
     y = as_nd(y)
     return as_nd(grad_out) * y * (1.0 - y)
-
-
-def activation(x, kind: str):
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 def softmax_lastdim(scores):

@@ -7,7 +7,6 @@ broadcasting at this level, which keeps shape bugs loud.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -56,52 +55,6 @@ class Tensor5:
         return Tensor5(self.data.astype(DTYPES[dtype]))
 
 
-def tensor_new(shape, fill: float = 0.0, dtype: str = "f64") -> Tensor5:
-    """Allocate a tensor of `shape` with every element set to `fill`."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 5:
-        raise ValueError(f"expected 5 dims, got {len(shape)}")
-    if any(s < 0 for s in shape):
-        raise ValueError(f"negative dimension in shape {shape}")
-    return Tensor5(np.full(shape, fill, dtype=DTYPES[dtype]))
-
-
-def from_array(arr, dtype: str | None = None) -> Tensor5:
-    """Wrap an array-like as a Tensor5, optionally coercing the dtype."""
-    a = np.asarray(arr)
-    if dtype is not None:
-        a = a.astype(DTYPES[dtype])
-    elif a.dtype not in _DTYPE_NAMES:
-        a = a.astype(np.float64)
-    return Tensor5(a)
-
-
-def tensor_map2(a: Tensor5, b: Tensor5, op: str) -> Tensor5:
-    """Elementwise add/sub/mul of two tensors of identical shape."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return Tensor5(a.data + b.data)
-    if op == "sub":
-        return Tensor5(a.data - b.data)
-    if op == "mul":
-        return Tensor5(a.data * b.data)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def tensor_reduce(a: Tensor5, op: str) -> float:
-    """Reduce all elements to a scalar with sum/max/mean."""
-    if op == "sum":
-        return float(a.data.sum())
-    if a.size == 0:
-        raise ValueError(f"{op} of an empty tensor is undefined")
-    if op == "max":
-        return float(a.data.max())
-    if op == "mean":
-        return float(a.data.mean())
-    raise ValueError(f"unknown op {op!r}")
-
-
 def save_array(arr: np.ndarray, base_path: str) -> None:
     """Write `arr` as `<base>.raw` (little-endian) plus a `<base>.json` sidecar.
 
@@ -122,10 +75,17 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
 
 def load_array(base_path: str) -> np.ndarray:
     """Read an array written by save_array."""
-    with open(base_path + ".json") as f:
+    path = base_path + ".json"
+    with open(path) as f:
         sidecar = json.load(f)
-    shape = tuple(int(s) for s in sidecar["shape"])
-    np_dtype = DTYPES[sidecar["dtype"]]
+    try:
+        shape, name = sidecar["shape"], sidecar["dtype"]
+    except KeyError as exc:
+        raise ValueError(f"array sidecar {path} has no key {exc}") from None
+    if name not in DTYPES:
+        raise ValueError(f"array sidecar {path} has unknown dtype {name!r}")
+    shape = tuple(int(s) for s in shape)
+    np_dtype = DTYPES[name]
     raw = np.fromfile(base_path + ".raw", dtype=np.dtype(np_dtype).newbyteorder("<"))
     expected = int(np.prod(shape)) if shape else 1
     if raw.size != expected:
@@ -134,18 +94,3 @@ def load_array(base_path: str) -> np.ndarray:
             f"needs {expected}"
         )
     return raw.astype(np_dtype).reshape(shape)
-
-
-def save_tensor5(t: Tensor5, base_path: str) -> None:
-    save_array(t.data, base_path)
-
-
-def load_tensor5(base_path: str) -> Tensor5:
-    arr = load_array(base_path)
-    if arr.ndim != 5:
-        raise ValueError(f"{base_path} holds a rank-{arr.ndim} array, expected 5")
-    return Tensor5(arr)
-
-
-def exists(base_path: str) -> bool:
-    return os.path.exists(base_path + ".raw") and os.path.exists(base_path + ".json")

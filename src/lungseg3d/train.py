@@ -145,27 +145,31 @@ def load_checkpoint(ckpt_dir) -> TrainState:
             f"checkpoint manifest {path} has no key {exc}") from None
     net = build_network(kind, config, seed)
 
-    for var in net.params():
-        if var.name not in tensors:
-            raise ValueError(f"checkpoint missing parameter {var.name!r}")
-        arr = load_array(os.path.join(ckpt_dir, tensors[var.name][0]))
-        if arr.shape != var.data.shape:
-            raise ValueError(f"checkpoint shape {arr.shape} != expected "
-                             f"{var.data.shape} for {var.name!r}")
-        var.data = arr
-    for bn in net.batchnorms():
-        bn.state.running_mean = load_array(
-            os.path.join(ckpt_dir, f"{bn.name}.running_mean"))
-        bn.state.running_var = load_array(
-            os.path.join(ckpt_dir, f"{bn.name}.running_var"))
+    def load(name, like):
+        """Tensor `name`, checked against the fresh net's array it replaces."""
+        if name not in tensors:
+            raise ValueError(f"checkpoint missing tensor {name!r}")
+        arr = load_array(os.path.join(ckpt_dir, tensors[name][0]))
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise ValueError(f"checkpoint tensor {name!r} is {arr.dtype} "
+                             f"{arr.shape}, expected {like.dtype} {like.shape}")
+        return arr
 
-    for name, (fname, role) in tensors.items():
-        if role == "adam_moment1":
-            adam.m[name[len("adam.m."):]] = load_array(
-                os.path.join(ckpt_dir, fname))
-        elif role == "adam_moment2":
-            adam.v[name[len("adam.v."):]] = load_array(
-                os.path.join(ckpt_dir, fname))
+    params = {var.name: var for var in net.params()}
+    for var in params.values():
+        var.data = load(var.name, var.data)
+    for bn in net.batchnorms():
+        st = bn.state
+        st.running_mean = load(f"{bn.name}.running_mean", st.running_mean)
+        st.running_var = load(f"{bn.name}.running_var", st.running_var)
+    for name, (_, role) in tensors.items():
+        moments = {"adam_moment1": adam.m, "adam_moment2": adam.v}.get(role)
+        if moments is not None:
+            pname = name[len("adam.m."):]  # "adam.v." has the same length
+            if pname not in params:
+                raise ValueError(f"checkpoint Adam moment {name!r} names no "
+                                 f"parameter")
+            moments[pname] = load(name, params[pname].data)
     return TrainState(net=net, kind=kind, config=config, adam=adam,
                       epoch=epoch, seed=seed, best_val_dice=best_val_dice)
 
@@ -219,7 +223,7 @@ def _truncate_log(log_path, last_epoch: int) -> None:
 def train_step(net, params, sample, adam: AdamState, drop_rng) -> float:
     """Forward, combined loss, backward, one Adam update. Returns the loss."""
     x = Var(sample.image.data)
-    p = net.probability(x, "train", drop_rng)
+    p = net.forward(x, "train", drop_rng)
     loss = combined_term(p, sample.mask.data)
     ag.zero_grads(params)
     ag.run_backward(loss)

@@ -14,7 +14,7 @@ import numpy as np
 
 from lungseg3d import gradcheck
 from lungseg3d.autograd import Var, no_grad
-from lungseg3d.blocks import WindowAttention3d
+from lungseg3d.blocks import WindowAttention3d, capture
 from lungseg3d.data import (crop_about_median, load_mhd, load_sample,
                             make_phantom, save_sample, split_dataset,
                             write_mhd)
@@ -94,7 +94,9 @@ def test_criterion_02_attention_identity_and_oracle():
     oracle_rel = float(np.abs(got - want).max()
                        / max(1.0, np.abs(want).max()))
 
-    amap = blk.attention_map(Var(rng.standard_normal((2, c, 4, 4, 4))))
+    with capture("a.weights") as got:
+        blk.forward(Var(rng.standard_normal((2, c, 4, 4, 4))))
+    amap = got["a.weights"]
     row_err = float(np.abs(amap.sum(axis=-1) - 1.0).max())
 
     ok = identity_ok and oracle_rel <= 1e-6 and row_err <= 1e-6
@@ -337,7 +339,7 @@ def test_criterion_09_shape_contracts():
         x = Var(rng.random(shape, dtype=np.float32))
         t0 = time.monotonic()
         with no_grad():
-            prob = net.probability(x, "eval")
+            prob = net.forward(x, "eval")
         dt = time.monotonic() - t0
         arr = prob.data
         results.append((kind, shape, arr.shape == shape,

@@ -219,12 +219,12 @@ def test_channel_scale_and_softmax_gradients():
 
 
 def test_batchnorm_op_routes_gamma_beta():
-    from lungseg3d.ops import make_batchnorm
+    from lungseg3d.ops import BatchNormState
     rng = np.random.default_rng(7)
-    bn = make_batchnorm(2)
+    bn = BatchNormState(running_mean=np.zeros(2), running_var=np.ones(2))
     x = _var(rng, (2, 2, 3, 3, 3))
-    gamma = Var(bn.gamma, name="g")
-    beta = Var(bn.beta, name="b")
+    gamma = Var(np.ones(2), name="g")
+    beta = Var(np.zeros(2), name="b")
     y = ag.batchnorm(x, gamma, beta, bn, "train")
     ag.run_backward(y, np.ones(y.shape))
     # beta enters additively: its gradient is the per-channel grad sum

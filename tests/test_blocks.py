@@ -7,7 +7,7 @@ from lungseg3d import autograd as ag
 from lungseg3d.autograd import Var
 from lungseg3d.blocks import (AttentionGate3d, BatchNorm3d, Conv3d,
                               DoubleConvBlock3d, ResidualBlock3d, TConv3d,
-                              WindowAttention3d)
+                              WindowAttention3d, capture)
 from lungseg3d.ops import ConvSpec, softmax_lastdim
 
 
@@ -38,13 +38,16 @@ def test_tconv_layer_weight_layout():
 
 
 def test_batchnorm_layer_shares_buffers_with_vars():
-    bn = BatchNorm3d("b", 3)
-    # the tape Vars and the kernel state must alias the same memory, so an
-    # optimizer update through the Var is seen by the forward kernel
-    assert bn.state.gamma is bn.gamma.data
-    assert bn.state.beta is bn.beta.data
+    bn = BatchNorm3d("b", 3, dtype=np.float64)
     names = [p.name for p in bn.params()]
     assert names == ["b.gamma", "b.beta"]
+    # the next forward sees an in-place optimizer update of a Var and a
+    # replaced buffer (as a checkpoint load does) alike
+    bn.gamma.data = np.full(3, 2.0)
+    bn.beta.data[...] = 0.5
+    x = Var(_rng(1).standard_normal((2, 3, 2, 2, 2)))
+    y = bn(x, "eval")
+    assert np.allclose(y.data, 2.0 * x.data / np.sqrt(1.0 + bn.state.eps) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,10 @@ def test_attention_gate_shapes_and_mask_range():
     gate = AttentionGate3d("g", 4, 8, _rng(9), dtype=np.float64)
     x = Var(_rng(10).standard_normal((2, 4, 8, 8, 8)))
     g = Var(_rng(11).standard_normal((2, 8, 4, 4, 4)))
-    out = gate.forward(x, g)
+    with capture("g.mask") as got:
+        out = gate.forward(x, g)
     assert out.shape == (2, 4, 8, 8, 8)
-    mask = gate.mask(x, g)
+    mask = got["g.mask"]
     assert mask.shape == (2, 1, 8, 8, 8)
     assert mask.min() > 0.0 and mask.max() < 1.0
 
@@ -108,9 +112,9 @@ def test_attention_gate_output_is_masked_projection():
     gate = AttentionGate3d("g", 3, 6, _rng(12), dtype=np.float64)
     x = Var(_rng(13).standard_normal((1, 3, 4, 4, 4)))
     g = Var(_rng(14).standard_normal((1, 6, 2, 2, 2)))
-    out = gate.forward(x, g)
-    proj = gate.input_proj(x)
-    assert np.allclose(out.data, proj.data * gate.mask(x, g))
+    with capture("g.mask", "g.input_proj") as got:
+        out = gate.forward(x, g)
+    assert np.allclose(out.data, got["g.input_proj"] * got["g.mask"])
 
 
 def test_attention_gate_rejects_bad_gating_resolution():
@@ -140,7 +144,9 @@ def test_window_attention_zero_scale_is_identity():
 def test_window_attention_rows_sum_to_one():
     blk = WindowAttention3d("a", 3, (2, 2, 2), _rng(18), dtype=np.float64)
     x = Var(_rng(19).standard_normal((2, 3, 4, 4, 4)))
-    amap = blk.attention_map(x)
+    with capture("a.weights") as got:
+        blk.forward(x)
+    amap = got["a.weights"]
     assert amap.shape == (2, 8, 8, 8)  # (B, windows, tokens, tokens)
     assert np.abs(amap.sum(axis=-1) - 1.0).max() <= 1e-6
     assert amap.min() > 0.0 and amap.max() < 1.0
@@ -164,10 +170,11 @@ def test_window_attention_matches_dense_oracle_single_window():
         + blk.proj.b.data[None, :, None, None, None]
     want = x + 0.8 * proj
 
-    got = blk.forward(Var(x)).data
+    with capture("a.weights") as inner:
+        got = blk.forward(Var(x)).data
     assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
 
-    amap = blk.attention_map(Var(x))
+    amap = inner["a.weights"]
     assert amap.shape == (1, 1, 8, 8)
     assert np.abs(amap[:, 0] - attn).max() <= 1e-6
 

@@ -93,13 +93,15 @@ def test_train_requires_manifest(capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-# (manifest, path of the key removed from a valid one)
+# (manifest, path of the key removed from a valid one); "sidecar" is the
+# JSON sidecar of the checkpoint tensor head.weight
 MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("split", ("seed",)),
              ("checkpoint", ("kind",)), ("checkpoint", ("seed",)),
              ("checkpoint", ("epoch",)), ("checkpoint", ("best_val_dice",)),
              ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
-             ("checkpoint", ("config", "stage_channels"))]
+             ("checkpoint", ("config", "stage_channels")),
+             ("sidecar", ("shape",)), ("sidecar", ("dtype",))]
 
 
 @pytest.mark.parametrize("which,key", MALFORMED,
@@ -112,8 +114,9 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key):
     save_checkpoint(ckpt, TrainState(
         net=build_network("nodule", config, 0), kind="nodule", config=config,
         adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
-    split_path, ckpt_path = tmp_path / "split.json", ckpt / "manifest.json"
-    path = split_path if which == "split" else ckpt_path
+    split_path = tmp_path / "split.json"
+    path = {"split": split_path, "checkpoint": ckpt / "manifest.json",
+            "sidecar": ckpt / "head.weight.json"}[which]
     payload = split if which == "split" else json.loads(path.read_text())
     node = payload
     for k in key[:-1]:

@@ -5,6 +5,7 @@ import pytest
 
 from lungseg3d import autograd as ag
 from lungseg3d.autograd import Var
+from lungseg3d.blocks import capture
 from lungseg3d.networks import (NetworkConfig, build_network,
                                 lung_default_config, nodule_default_config,
                                 predict_volume)
@@ -64,16 +65,20 @@ def test_lung_round_trips_awkward_geometry():
     net = _lung()
     x = Var(np.random.default_rng(0).standard_normal(
         (2, 1, 7, 12, 10)).astype(np.float32))
-    p, trace = net.forward(x, "train")
+    encs = ["enc1", "enc2", "enc3", "enc4"]
+    decs = ["dec4", "dec3", "dec2", "dec1"]
+    gates = ["gate4", "gate3", "gate2", "gate1"]
+    with capture(*encs, "bottleneck", *decs, *gates) as got:
+        p = net.forward(x, "train")
     assert p.shape == (2, 1, 7, 12, 10)
     assert p.data.min() > 0.0 and p.data.max() < 1.0
+    spatial = lambda names: [got[n].shape[2:] for n in names]
     # four stride-2 encoders halve the padded 16^3 grid each time
-    enc_spatial = [tuple(e.data.shape[2:]) for e in trace.encoders]
-    assert enc_spatial == [(8, 8, 8), (4, 4, 4), (2, 2, 2), (1, 1, 1)]
-    assert trace.bottleneck.data.shape[2:] == (1, 1, 1)
-    dec_spatial = [tuple(d.data.shape[2:]) for d in trace.decoders]
-    assert dec_spatial == [(2, 2, 2), (4, 4, 4), (8, 8, 8), (16, 16, 16)]
-    assert len(trace.gates) == 4
+    assert spatial(encs) == [(8, 8, 8), (4, 4, 4), (2, 2, 2), (1, 1, 1)]
+    assert got["bottleneck"].shape[2:] == (1, 1, 1)
+    assert spatial(decs) == [(2, 2, 2), (4, 4, 4), (8, 8, 8), (16, 16, 16)]
+    # each gate keeps the resolution of the skip feature it gates
+    assert spatial(gates) == spatial(decs)
 
 
 def test_lung_eval_forward_deterministic():
@@ -81,8 +86,8 @@ def test_lung_eval_forward_deterministic():
     x = Var(np.random.default_rng(1).standard_normal(
         (1, 1, 7, 12, 10)).astype(np.float32))
     net.forward(x, "train")  # populate running stats
-    p1, _ = net.forward(x, "eval")
-    p2, _ = net.forward(x, "eval")
+    p1 = net.forward(x, "eval")
+    p2 = net.forward(x, "eval")
     assert np.array_equal(p1.data, p2.data)
 
 
@@ -112,7 +117,7 @@ def test_fresh_nets_start_near_background_prior():
     net = _lung()
     x = Var(np.random.default_rng(2).standard_normal(
         (1, 1, 7, 12, 10)).astype(np.float32))
-    p, _ = net.forward(x, "train")
+    p = net.forward(x, "train")
     assert float(p.data.mean()) < 0.35
 
     nod = _nodule()
@@ -171,6 +176,27 @@ def test_nodule_batchnorms_enumerated():
     # 5 double-conv encoder/bottleneck blocks + 4 decoder blocks, 2 BNs each
     assert len(bns) == 18
     assert len({bn.name for bn in bns}) == 18
+
+
+# ---------------------------------------------------------------------------
+# capture hook
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,shape,names", [
+    ("lung", (1, 1, 7, 12, 10), ("enc2", "gate1.mask", "dec1.conv2")),
+    ("nodule", (1, 1, 16, 16, 16), ("attn.weights", "up4", "dec1")),
+], ids=["lung", "nodule"])
+def test_capture_leaves_forward_unchanged(kind, shape, names):
+    net = _lung() if kind == "lung" else _nodule()
+    x = Var(np.random.default_rng(9).standard_normal(shape).astype(np.float32))
+    plain = net.forward(x, "eval").data
+    with capture(*names) as got:
+        seen = net.forward(x, "eval").data
+    assert seen.tobytes() == plain.tobytes()
+    assert sorted(got) == sorted(names)
+    with pytest.raises(KeyError, match="no.such"):
+        with capture("no.such"):
+            net.forward(x, "eval")
 
 
 # ---------------------------------------------------------------------------

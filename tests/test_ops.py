@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from lungseg3d.ops import (ConvSpec, LayerParams, activation, batchnorm3d,
+from lungseg3d.ops import (BatchNormState, ConvSpec, LayerParams, batchnorm3d,
                            batchnorm3d_backward, center_crop3d,
                            center_crop3d_backward, channel_scale,
                            channel_scale_backward, concat_channels,
                            concat_channels_backward, conv3d, conv3d_backward,
                            dropout, dropout_backward, fold_windows,
-                           make_batchnorm, maxpool3d, maxpool3d_backward,
+                           maxpool3d, maxpool3d_backward,
                            pad3d, pad3d_backward, relu, relu_backward,
                            sigmoid, sigmoid_backward, softmax_lastdim,
                            softmax_lastdim_backward, tconv3d, tconv3d_backward,
@@ -333,58 +333,64 @@ def test_maxpool_rejects_indivisible():
 # batchnorm3d
 # ---------------------------------------------------------------------------
 
+def _bn(c):
+    """Unit gain, zero offset and (0, 1) running stats, as a fresh layer."""
+    state = BatchNormState(running_mean=np.zeros(c), running_var=np.ones(c))
+    return np.ones(c), np.zeros(c), state
+
+
 def test_batchnorm_train_normalizes():
     rng = np.random.default_rng(7)
-    bn = make_batchnorm(2)
+    gamma, beta, bn = _bn(2)
     x = rng.standard_normal((2, 2, 4, 4, 4)) * 3.0 + 1.5
-    y, _ = batchnorm3d(x, bn, "train")
+    y, _ = batchnorm3d(x, gamma, beta, bn, "train")
     assert np.abs(y.mean(axis=(0, 2, 3, 4))).max() <= 1e-6
     assert np.abs(y.var(axis=(0, 2, 3, 4)) - 1.0).max() <= 1e-4
 
 
 def test_batchnorm_constant_input_maps_to_zero():
-    bn = make_batchnorm(1)
+    gamma, beta, bn = _bn(1)
     x = np.full((1, 1, 3, 3, 3), 4.2)
-    y, _ = batchnorm3d(x, bn, "train")
+    y, _ = batchnorm3d(x, gamma, beta, bn, "train")
     assert np.abs(y).max() <= 1e-3  # 0 / sqrt(eps) stays tiny
 
 
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(8)
-    bn = make_batchnorm(2)
+    gamma, beta, bn = _bn(2)
     x = rng.standard_normal((1, 2, 4, 4, 4))
-    batchnorm3d(x, bn, "train")
+    batchnorm3d(x, gamma, beta, bn, "train")
     # running stats moved by momentum 0.1 away from the (0, 1) init
     bmean = x.mean(axis=(0, 2, 3, 4))
     bvar = x.var(axis=(0, 2, 3, 4))
     assert np.allclose(bn.running_mean, 0.1 * bmean)
     assert np.allclose(bn.running_var, 0.9 + 0.1 * bvar)
-    y, _ = batchnorm3d(x, bn, "eval")
+    y, _ = batchnorm3d(x, gamma, beta, bn, "eval")
     want = (x - bn.running_mean[None, :, None, None, None]) / np.sqrt(
         bn.running_var[None, :, None, None, None] + bn.eps)
     assert np.allclose(y, want)
 
 
 def test_batchnorm_rejects_channel_mismatch_and_bad_mode():
-    bn = make_batchnorm(2)
+    gamma, beta, bn = _bn(2)
     with pytest.raises(ValueError):
-        batchnorm3d(np.zeros((1, 3, 2, 2, 2)), bn, "train")
+        batchnorm3d(np.zeros((1, 3, 2, 2, 2)), gamma, beta, bn, "train")
     with pytest.raises(ValueError):
-        batchnorm3d(np.zeros((1, 2, 2, 2, 2)), bn, "predict")
+        batchnorm3d(np.zeros((1, 2, 2, 2, 2)), gamma, beta, bn, "predict")
 
 
 def test_batchnorm_backward_matches_finite_differences():
     rng = np.random.default_rng(9)
-    bn = make_batchnorm(2)
+    gamma, beta, bn = _bn(2)
     x = rng.standard_normal((2, 2, 3, 3, 3))
     g = rng.standard_normal(x.shape)
-    _, cache = batchnorm3d(x, bn, "train")
+    _, cache = batchnorm3d(x, gamma, beta, bn, "train")
     gx, dgamma, dbeta = batchnorm3d_backward(cache, g)
 
     h = 1e-6
 
     def loss():
-        out, _ = batchnorm3d(x, bn, "train")
+        out, _ = batchnorm3d(x, gamma, beta, bn, "train")
         return float((out * g).sum())
 
     flat = x.reshape(-1)
@@ -422,14 +428,6 @@ def test_sigmoid_is_stable_at_extremes():
     assert 0.0 <= y.min() and y.max() <= 1.0
     g = sigmoid_backward(y, np.ones_like(y))
     assert np.isclose(g.reshape(-1)[1], 0.25)
-
-
-def test_activation_dispatch():
-    x = np.array([-1.0, 2.0]).reshape(1, 1, 1, 1, 2)
-    assert np.array_equal(activation(x, "relu"), relu(x))
-    assert np.array_equal(activation(x, "sigmoid"), sigmoid(x))
-    with pytest.raises(ValueError):
-        activation(x, "tanh")
 
 
 def test_softmax_rows_sum_to_one_and_backward():

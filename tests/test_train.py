@@ -13,6 +13,7 @@ from lungseg3d.networks import NetworkConfig, build_network
 from lungseg3d.train import (LOG_HEADER, AdamState, TrainState, adam_step,
                              evaluate, load_checkpoint, save_checkpoint,
                              train, train_step, _epoch_order)
+from lungseg3d.tensor import save_array
 
 MICRO = [2, 4, 8, 16]
 
@@ -138,6 +139,38 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
     del manifest["tensors"][first]
     (ck / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
+        load_checkpoint(ck)
+
+
+# (tensor whose file is replaced, the replacement) in a 2-channel net
+MISMATCHED = [
+    ("enc1.bn1.running_mean", np.zeros(5, dtype=np.float32)),
+    ("enc1.bn1.running_var", np.ones(2, dtype=np.float64)),
+    ("adam.m.enc1.conv1.weight", np.zeros((2, 1, 3, 3, 1), np.float32)),
+    ("adam.v.head.bias", np.zeros((1, 1), dtype=np.float32)),
+    ("adam.m.no.such", np.zeros(2, dtype=np.float32)),
+]
+
+
+@pytest.mark.parametrize("name,arr", MISMATCHED,
+                         ids=[name for name, _ in MISMATCHED])
+def test_checkpoint_mismatched_tensor_rejected(tmp_path, name, arr):
+    cfg = _nodule_config()
+    net = build_network("nodule", cfg, seed=0)
+    adam = AdamState()
+    for var in net.params():
+        adam.m[var.name] = np.zeros_like(var.data)
+        adam.v[var.name] = np.zeros_like(var.data)
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, TrainState(net=net, kind="nodule", config=cfg,
+                                   adam=adam, epoch=0, seed=0,
+                                   best_val_dice=0.0))
+    manifest = json.loads((ck / "manifest.json").read_text())
+    role = "adam_moment1" if name.startswith("adam.m.") else "running_stat"
+    manifest["tensors"].setdefault(name, {"file": name, "role": role})
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    save_array(arr, str(ck / name))
+    with pytest.raises(ValueError, match=repr(name)):
         load_checkpoint(ck)
 
 
