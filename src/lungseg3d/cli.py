@@ -5,7 +5,8 @@ preprocess, split, train, eval, predict, heatmap. Options come from an
 optional JSON config file with command-line flags taking precedence; the
 effective configuration is echoed as JSON before any work starts.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation or usage error or a non-finite training
+step, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import data, gradcheck
 from .losses import export_heatmap
 from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
-from .train import evaluate, load_checkpoint, train
+from .train import NonFiniteError, evaluate, load_checkpoint, train
 
 
 @dataclass
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

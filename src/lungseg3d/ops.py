@@ -36,12 +36,25 @@ calls, so a layer with one output channel can differ in the last bit from an
 unblocked pass. The weight gradient is a sum over columns and is not
 blocked, since splitting it would reorder that sum.
 
+Thin layers stack taps. When a tap has fewer than 5 input channels C (and
+at least as many output channels), its GEMM is a rank-C update, dominated by
+the += that follows it. The forward shift-GEMM then takes the taps in plan
+order in groups of g = 9 // C, copies a group's phase slices into one
+(g*C)-row operand per column block and issues one GEMM with the group's
+(O x g*C) weight block: at C = 1 a whole kh x kw plane of a 3x3x3 kernel
+is one GEMM. Within a group the tap terms are summed inside BLAS, so such a
+layer rounds differently from one GEMM per tap. Every other layer (g = 1)
+reads its phase slices in place, one GEMM per tap, exactly as above. The
+scatter adjoint does not stack: its destination is the phase buffers, and
+each tap writes a different slice of them.
+
 tconv3d is the conv input gradient plus a bias; its input gradient is the
 conv forward, and its weight gradient is the conv weight gradient with x and
 grad_out swapped.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -153,21 +166,27 @@ class _TapPlan(NamedTuple):
     out: tuple   # forward output dims
     M: tuple     # phase lengths; each padded axis is M * stride long
     L: int       # pitched columns up to and including the last output voxel
-    taps: list   # (kernel index, phase, flat offset into that phase)
+    taps: tuple  # (kernel index, phase, flat offset into that phase)
 
 
 def _tap_plan(spec: ConvSpec, spatial) -> _TapPlan:
     """Where every kernel tap of a conv over `spatial` input voxels reads."""
-    out = spec.out_dims(spatial)
-    M = tuple(-(-(n + 2 * p) // s)
-              for n, p, s in zip(spatial, spec.padding, spec.stride))
+    return _cached_tap_plan(spec.kernel, spec.stride, spec.dilation,
+                            spec.padding, tuple(spatial))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_tap_plan(kernel, stride, dilation, padding, spatial) -> _TapPlan:
+    out = ConvSpec(1, 1, kernel, stride, dilation, padding).out_dims(spatial)
+    M = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(spatial, padding, stride))
     pitch = (M[1] * M[2], M[2], 1)
     taps = []
-    for k in np.ndindex(*spec.kernel):
-        qr = [divmod(t * d, s) for t, d, s in zip(k, spec.dilation, spec.stride)]
+    for k in np.ndindex(*kernel):
+        qr = [divmod(t * d, s) for t, d, s in zip(k, dilation, stride)]
         taps.append((k, tuple(r for _, r in qr),
                      sum(q * c for (q, _), c in zip(qr, pitch))))
-    return _TapPlan(out, M, 1 + sum((o - 1) * c for o, c in zip(out, pitch)), taps)
+    return _TapPlan(out, M, 1 + sum((o - 1) * c for o, c in zip(out, pitch)),
+                    tuple(taps))
 
 
 def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
@@ -200,13 +219,25 @@ def _block_cols(acc_rows: int, in_rows: int, itemsize: int) -> int:
     return 1024 * max(4, (512 << 10) // (1024 * col_bytes))
 
 
+def _tap_group(C: int, O: int) -> int:
+    """Taps per GEMM of the forward shift-GEMM, for C input and O output
+    channels per tap.
+
+    Stacking copies g*C rows per column to save g - 1 += passes over O rows.
+    With O < C the copy costs more than it saves (a one-row GEMM is a GEMV
+    that streams its operand), and from C = 5 up a tap's GEMM is wide enough.
+    """
+    return max(1, 9 // C) if O >= C else 1
+
+
 def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
     """Conv without bias: pitched y = sum_t W_t @ x_phase[off_t: off_t + L]."""
     (B, C, _), O, L = next(iter(xph.values())).shape, w.shape[0], plan.L
     (od, oh, ow), (_, Mh, Mw) = plan.out, plan.M
     wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
+    g = _tap_group(C, O)
     yp = np.empty((B, O, od * Mh * Mw), dtype=dtype)
-    nb = min(L, _block_cols(B * O, B * C, yp.itemsize))
+    nb = min(L, _block_cols(B * O, B * g * C, yp.itemsize))
     # The scratch is one (B, O, nb) block, but it is carved from a buffer of
     # the unblocked loop's (B, O, L) size; the untouched rest never becomes
     # resident. With a block-sized allocation glibc stopped trimming its heap
@@ -214,13 +245,33 @@ def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
     # 45-60 MB. The reservations that matter are the mid-size ones, below
     # glibc's 32 MB mmap ceiling.
     tmp = np.empty(B * O * L, dtype=dtype)[:B * O * nb].reshape(B, O, nb)
-    (w0, x0, off0), *rest = [(wt[k], xph[r], off) for k, r, off in plan.taps]
+    # Taps go in groups of g, in plan order: one (O, g*C) weight block per
+    # group and, per column block, one (B, g*C, nb) operand copied from the
+    # group's phase slices (the block rule counts its rows as input rows). A
+    # one-tap group reads its phase slice in place, so with g = 1 this is one
+    # GEMM and one += per tap, bit-identical to the loop before grouping.
+    stack = np.empty((B, g * C, nb), dtype=dtype) if g > 1 else None
+    groups = [(np.concatenate([wt[k] for k, _, _ in grp], axis=1),
+               [(xph[r], off) for _, r, off in grp])
+              for grp in (plan.taps[i:i + g]
+                          for i in range(0, len(plan.taps), g))]
+
+    def operand(srcs, a, e):
+        if len(srcs) == 1:
+            xr, off = srcs[0]
+            return xr[..., off + a: off + e]
+        xs = stack[:, :len(srcs) * C, :e - a]
+        for j, (xr, off) in enumerate(srcs):
+            xs[:, j * C: (j + 1) * C] = xr[..., off + a: off + e]
+        return xs
+
+    (w0, x0), *rest = groups
     for a in range(0, L, nb):
         e = min(a + nb, L)
         yb, tb = yp[..., a:e], tmp if e - a == nb else tmp[..., :e - a]
-        np.matmul(w0, x0[..., off0 + a: off0 + e], out=yb)
-        for wk, xr, off in rest:
-            yb += np.matmul(wk, xr[..., off + a: off + e], out=tb)
+        np.matmul(w0, operand(x0, a, e), out=yb)
+        for wk, srcs in rest:
+            yb += np.matmul(wk, operand(srcs, a, e), out=tb)
     return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
 
 
@@ -382,18 +433,23 @@ def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
         mu = x.mean(axis=_BN_AXES)
         var = x.var(axis=_BN_AXES)
         invstd = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x - _ch(mu)) * _ch(invstd)
         m = state.momentum
         state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(
             state.running_mean.dtype)
         state.running_var = ((1 - m) * state.running_var + m * var).astype(
             state.running_var.dtype)
     elif mode == "eval":
+        mu = state.running_mean
         invstd = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - _ch(state.running_mean)) * _ch(invstd)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    y = _ch(gamma) * xhat + _ch(beta)
+    # (x - mu) * invstd and gamma * xhat + beta in place, one full-size
+    # array each; the operations and their order are those of the
+    # expressions, so the bytes are too
+    xhat = np.subtract(x, _ch(mu))
+    xhat *= _ch(invstd)
+    y = np.multiply(_ch(gamma), xhat)
+    y += _ch(beta)
     cache = (xhat, invstd, gamma, mode)
     return y, cache
 

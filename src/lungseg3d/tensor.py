@@ -82,9 +82,16 @@ def load_array(base_path: str) -> np.ndarray:
         shape, name = sidecar["shape"], sidecar["dtype"]
     except KeyError as exc:
         raise ValueError(f"array sidecar {path} has no key {exc}") from None
+    if not isinstance(name, str):
+        raise ValueError(f"array sidecar {path} has 'dtype' {name!r}, "
+                         f"expected a string")
     if name not in DTYPES:
         raise ValueError(f"array sidecar {path} has unknown dtype {name!r}")
-    shape = tuple(int(s) for s in shape)
+    if not isinstance(shape, list) or not all(
+            type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"array sidecar {path} has 'shape' {shape!r}, "
+                         f"expected a list of non-negative ints")
+    shape = tuple(shape)
     np_dtype = DTYPES[name]
     raw = np.fromfile(base_path + ".raw", dtype=np.dtype(np_dtype).newbyteorder("<"))
     expected = int(np.prod(shape)) if shape else 1

@@ -220,14 +220,28 @@ def _truncate_log(log_path, last_epoch: int) -> None:
         fh.write("".join(line + "\n" for line in [LOG_HEADER] + rows))
 
 
+class NonFiniteError(RuntimeError):
+    """A training step produced a NaN or infinite loss or gradient."""
+
+
 def train_step(net, params, sample, adam: AdamState, drop_rng) -> float:
-    """Forward, combined loss, backward, one Adam update. Returns the loss."""
+    """Forward, combined loss, backward, one Adam update. Returns the loss.
+
+    A non-finite loss or parameter gradient raises NonFiniteError before the
+    update, so the parameters and the Adam moments stay as they were.
+    """
     x = Var(sample.image.data)
     p = net.forward(x, "train", drop_rng)
     loss = combined_term(p, sample.mask.data)
+    if not np.isfinite(loss.data).all():
+        raise NonFiniteError(f"non-finite loss {float(loss.data)!r}")
     ag.zero_grads(params)
     ag.run_backward(loss)
-    adam_step(params, [v.grad for v in params], adam)
+    grads = [v.grad for v in params]
+    for var, g in zip(params, grads):
+        if g is not None and not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient of {var.name!r}")
+    adam_step(params, grads, adam)
     return float(loss.data)
 
 
@@ -265,8 +279,12 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
                 raise RuntimeError(f"failed to load sample {sid!r}: {exc}") from exc
             drop_rng = np.random.default_rng(
                 [state.seed, 0xD409, epoch, step])
-            losses.append(train_step(state.net, params, sample, state.adam,
-                                     drop_rng))
+            try:
+                losses.append(train_step(state.net, params, sample,
+                                         state.adam, drop_rng))
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch} step {step} sample "
+                                     f"{sid!r}: {exc}") from None
         train_loss = float(np.mean(losses)) if losses else 0.0
 
         agg, _ = evaluate(state.net, manifest.val, sample_dir, threshold)

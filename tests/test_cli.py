@@ -102,11 +102,23 @@ MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
              ("checkpoint", ("config", "stage_channels")),
              ("sidecar", ("shape",)), ("sidecar", ("dtype",))]
+# (sidecar key, label, the bad value made from the valid one)
+BAD_SIDECAR_VALUES = [
+    ("dtype", "list", lambda v: [v]),
+    ("shape", "str", lambda v: "x".join(str(n) for n in v)),
+    ("shape", "negative", lambda v: [-1] + v[1:]),
+    ("shape", "float", lambda v: [float(v[0])] + v[1:]),
+]
+ROWS = ([(w, k, None, f"{w}-{'.'.join(k)}") for w, k in MALFORMED]
+        + [("sidecar", (k,), bad, f"sidecar-{k}-{label}")
+           for k, label, bad in BAD_SIDECAR_VALUES])
 
 
-@pytest.mark.parametrize("which,key", MALFORMED,
-                         ids=[f"{w}-{'.'.join(k)}" for w, k in MALFORMED])
-def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key):
+@pytest.mark.parametrize("which,key,bad", [r[:3] for r in ROWS],
+                         ids=[r[3] for r in ROWS])
+def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
+                                              bad):
+    """Each row removes a key, or replaces its value v by bad(v)."""
     split = {"train": ["a"], "val": ["b"], "test": ["c"], "seed": 0}
     ckpt = tmp_path / "ckpt"
     config = NetworkConfig(stage_channels=[2, 4, 8, 16],
@@ -121,7 +133,10 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key):
     node = payload
     for k in key[:-1]:
         node = node[k]
-    del node[key[-1]]
+    if bad is None:
+        del node[key[-1]]
+    else:
+        node[key[-1]] = bad(node[key[-1]])
     path.write_text(json.dumps(payload))
     if which == "split":
         argv = ["train", "--net", "nodule", "--manifest", str(split_path),

@@ -13,7 +13,8 @@ from lungseg3d.ops import (BatchNormState, ConvSpec, LayerParams, batchnorm3d,
                            pad3d, pad3d_backward, relu, relu_backward,
                            sigmoid, sigmoid_backward, softmax_lastdim,
                            softmax_lastdim_backward, tconv3d, tconv3d_backward,
-                           unfold_windows, _block_cols, _tap_plan)
+                           unfold_windows, _block_cols, _tap_group,
+                           _tap_plan)
 
 
 def _params(rng, spec):
@@ -201,6 +202,22 @@ CONV_TABLE = [
      np.float64, False),
     ("up-2x2x2-s2-blocks-f32", "tconv", 4, 3, 2, 2, 1, 0, 1, (10, 50, 60),
      np.float32, False),
+    # thin-channel rows: the forward shift-GEMM stacks taps into groups, three
+    # groups of 9 taps at one input channel, groups of 4 and a last group of
+    # 3 at two; the tconv with one output channel stacks in its input
+    # gradient
+    ("thin-c1-blocks", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 70),
+     np.float64, False),
+    ("thin-c1-blocks-f32", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 70),
+     np.float32, False),
+    ("thin-c2-blocks", "conv", 2, 3, 3, 1, 1, 1, 2, (8, 50, 60), np.float64,
+     False),
+    ("thin-c2-blocks-f32", "conv", 2, 3, 3, 1, 1, 1, 2, (8, 50, 60),
+     np.float32, False),
+    ("tconv-out1-blocks", "tconv", 2, 1, 3, 1, 1, 1, 1, (12, 70, 80),
+     np.float64, False),
+    ("tconv-out1-blocks-f32", "tconv", 2, 1, 3, 1, 1, 1, 1, (12, 70, 80),
+     np.float32, False),
 ]
 
 
@@ -283,7 +300,9 @@ def test_conv_block_rows_span_three_blocks(row):
         plan = _tap_plan(spec, spec.tconv_out_dims(dims))
         shift_rows, scatter_rows = ci, co
     size = np.dtype(dtype).itemsize
-    for cols, acc, inp in ((plan.L, shift_rows, scatter_rows),
+    # the shift-GEMM's input rows are its stacked operand's
+    g = _tap_group(scatter_rows, shift_rows)
+    for cols, acc, inp in ((plan.L, shift_rows, g * scatter_rows),
                            (int(np.prod(plan.M)), scatter_rows, shift_rows)):
         nb = _block_cols(batch * acc, batch * inp, size)
         assert cols > 2 * nb and cols % nb, (label, cols, nb)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from lungseg3d.autograd import Var
-from lungseg3d.data import SplitManifest, make_phantom, save_sample
+from lungseg3d.cli import main
+from lungseg3d.data import (SplitManifest, load_sample, make_phantom,
+                            save_manifest, save_sample)
 from lungseg3d.networks import NetworkConfig, build_network
-from lungseg3d.train import (LOG_HEADER, AdamState, TrainState, adam_step,
-                             evaluate, load_checkpoint, save_checkpoint,
-                             train, train_step, _epoch_order)
-from lungseg3d.tensor import save_array
+from lungseg3d.train import (LOG_HEADER, AdamState, NonFiniteError,
+                             TrainState, adam_step, evaluate, load_checkpoint,
+                             save_checkpoint, train, train_step, _epoch_order)
+from lungseg3d.tensor import load_array, save_array
 
 MICRO = [2, 4, 8, 16]
 
@@ -286,3 +288,47 @@ def test_train_missing_sample_raises(tmp_path):
     with pytest.raises(RuntimeError):
         train("nodule", man, d, tmp_path / "x", _nodule_config(), epochs=1,
               seed=0)
+
+
+def test_train_stops_on_non_finite_loss(tmp_path, capsys):
+    """A NaN in one training image stops the run at that step, before the
+    update: the error names epoch, step and sample, and the parameters, the
+    Adam moments and the checkpoints on disk are untouched."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
+    man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
+    out = tmp_path / "run"
+    train("nodule", man, d, out, _nodule_config(), epochs=1, seed=0)
+    saved = _dir_bytes(out)
+    bad = ids[1]
+    image = load_array(str(d / f"{bad}.image"))
+    image[0, 0, 16, 16, 16] = np.nan
+    save_array(image, str(d / f"{bad}.image"))
+
+    step = _epoch_order(man.train, 0, 1).index(bad)
+    with pytest.raises(NonFiniteError,
+                       match=f"epoch 1 step {step} sample '{bad}': "
+                             f"non-finite loss"):
+        train("nodule", man, d, out, _nodule_config(), epochs=2, seed=0,
+              resume_from=out / "last")
+    assert _dir_bytes(out) == saved
+
+    state = load_checkpoint(out / "last")
+    params = list(state.net.params())
+    before = [v.data.copy() for v in params]
+    moments = {n: m.copy() for n, m in state.adam.m.items()}
+    with pytest.raises(NonFiniteError):
+        train_step(state.net, params, load_sample(d, bad), state.adam,
+                   np.random.default_rng(0))
+    assert all(np.array_equal(v.data, b) for v, b in zip(params, before))
+    assert state.adam.t == 2 and state.adam.m.keys() == moments.keys()
+    assert all(np.array_equal(state.adam.m[n], m) for n, m in moments.items())
+
+    man_path = tmp_path / "split.json"
+    save_manifest(man, man_path)
+    assert main(["train", "--net", "nodule", "--manifest", str(man_path),
+                 "--sample-dir", str(d), "--out", str(tmp_path / "cli"),
+                 "--epochs", "1", "--stage-channels", "2,4,8,16",
+                 "--input-geometry", "1,32,32,32"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: epoch 0 step "), err
+    assert f"sample '{bad}'" in err[0]
