@@ -64,9 +64,20 @@ class Var:
 
 
 def accumulate(v: Var, g: np.ndarray):
-    if v.grad is None:
+    """Add g to v.grad, which always has v.data's shape and dtype.
+
+    A first gradient that already has them is stored as it is, and later
+    ones are summed out of place: add() hands the same g to both parents,
+    so a stored gradient must never be written into.
+    """
+    if v.grad is not None:
+        v.grad = np.add(v.grad, g, out=np.empty_like(v.data))
+    elif (isinstance(g, np.ndarray) and g.shape == v.data.shape
+          and g.dtype == v.data.dtype):
+        v.grad = g
+    else:
         v.grad = np.zeros_like(v.data)
-    v.grad += g
+        v.grad += g
 
 
 def from_op(out_data, parents, backward) -> Var:

@@ -5,8 +5,8 @@ preprocess, split, train, eval, predict, heatmap. Options come from an
 optional JSON config file with command-line flags taking precedence; the
 effective configuration is echoed as JSON before any work starts.
 
-Exit codes: 0 success, 1 validation or usage error or a non-finite training
-step, 2 I/O error.
+Exit codes: 0 success, 1 validation or usage error, a non-finite training
+step or gradcheck probe, or a failed gradient check, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NonFiniteError) as exc:
+    except (ValueError, NonFiniteError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -1,7 +1,9 @@
 """Volume ingestion, preprocessing, synthetic phantoms, and dataset splits.
 
 MetaImage volumes (.mhd ASCII header + little-endian .raw buffer) are read
-into (1, 1, D, H, W) tensors; the header's DimSize is ordered W H D. The
+into (1, 1, D, H, W) tensors; the header's DimSize is ordered W H D. A
+header that asks for compressed data, a skipped header block, a list of
+data files or a non-identity orientation is refused rather than misread. The
 preprocessing chain mirrors a standard lung-CT setup: in-plane resize,
 median-centered slice crop, intensity windowing, and fixed-size nodule
 blocks. Phantoms provide deterministic desk-scale stand-ins with masks known
@@ -64,6 +66,13 @@ class MhdMeta:
     element_type: str
 
 
+def _is_identity(matrix: str) -> bool:
+    try:
+        return [float(v) for v in matrix.split()] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    except ValueError:
+        return False
+
+
 def load_mhd(header_path):
     """Read a MetaImage volume; returns ((1,1,D,H,W) Tensor5, MhdMeta)."""
     header_path = str(header_path)
@@ -93,6 +102,18 @@ def load_mhd(header_path):
     if fields.get("ElementByteOrderMSB", "False") == "True" or \
             fields.get("BinaryDataByteOrderMSB", "False") == "True":
         raise ValueError("big-endian buffers not supported")
+    # keys that change where or how the voxels are stored, or where they lie
+    if fields.get("CompressedData", "False") != "False":
+        raise ValueError(f"CompressedData = {fields['CompressedData']} not "
+                         f"supported")
+    if fields.get("HeaderSize", "0") != "0":
+        raise ValueError(f"HeaderSize = {fields['HeaderSize']} not supported")
+    if fields["ElementDataFile"] in ("LIST", "LOCAL"):
+        raise ValueError(f"ElementDataFile = {fields['ElementDataFile']} not "
+                         f"supported")
+    if not _is_identity(fields.get("TransformMatrix", "1 0 0 0 1 0 0 0 1")):
+        raise ValueError(f"TransformMatrix = {fields['TransformMatrix']} is "
+                         f"not the identity")
 
     raw_path = os.path.join(os.path.dirname(header_path),
                             fields["ElementDataFile"])

@@ -213,7 +213,10 @@ def check_gradients(target: str, seed: int = 0, tol: float = None):
         raise ValueError(f"unknown gradcheck target {target!r}; known: "
                          f"{', '.join(all_targets())}")
     use_tol = DEFAULT_TOLS[target] if tol is None else tol
-    return CHECKS[target](seed, use_tol)
+    try:
+        return CHECKS[target](seed, use_tol)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"gradcheck {target!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,23 @@ def adam_step(params, grads, state: AdamState) -> None:
             m = state.m[var.name] = np.zeros_like(var.data)
             state.v[var.name] = np.zeros_like(var.data)
         v = state.v[var.name]
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        var.data[...] = var.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in place, in two
+        # work buffers (out= keeps a 0-d parameter an array); the operations
+        # and their order are those of the expressions, so for a gradient of
+        # the parameter's dtype the bytes are too
+        t, u = np.empty_like(m), np.empty_like(m)
+        m *= state.beta1
+        m += np.multiply(1.0 - state.beta1, g, out=t)
+        v *= state.beta2
+        np.multiply(1.0 - state.beta2, g, out=t)
+        v += np.multiply(t, g, out=t)
+        np.divide(m, bc1, out=u)
+        u *= state.lr
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += state.eps
+        var.data -= np.divide(u, t, out=u)
 
 
 @dataclass
@@ -228,19 +240,29 @@ def train_step(net, params, sample, adam: AdamState, drop_rng) -> float:
     """Forward, combined loss, backward, one Adam update. Returns the loss.
 
     A non-finite loss or parameter gradient raises NonFiniteError before the
-    update, so the parameters and the Adam moments stay as they were.
+    update, so the parameters, the Adam moments and the batchnorm running
+    stats stay as they were.
     """
-    x = Var(sample.image.data)
-    p = net.forward(x, "train", drop_rng)
-    loss = combined_term(p, sample.mask.data)
-    if not np.isfinite(loss.data).all():
-        raise NonFiniteError(f"non-finite loss {float(loss.data)!r}")
-    ag.zero_grads(params)
-    ag.run_backward(loss)
-    grads = [v.grad for v in params]
-    for var, g in zip(params, grads):
-        if g is not None and not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient of {var.name!r}")
+    # the train forward replaces the running-stat arrays rather than writing
+    # into them, so these references are the state before the step
+    stats = [(bn.state, bn.state.running_mean, bn.state.running_var)
+             for bn in net.batchnorms()]
+    try:
+        x = Var(sample.image.data)
+        p = net.forward(x, "train", drop_rng)
+        loss = combined_term(p, sample.mask.data)
+        if not np.isfinite(loss.data).all():
+            raise NonFiniteError(f"non-finite loss {float(loss.data)!r}")
+        ag.zero_grads(params)
+        ag.run_backward(loss)
+        grads = [v.grad for v in params]
+        for var, g in zip(params, grads):
+            if g is not None and not np.isfinite(g).all():
+                raise NonFiniteError(f"non-finite gradient of {var.name!r}")
+    except NonFiniteError:
+        for st, mean, variance in stats:
+            st.running_mean, st.running_var = mean, variance
+        raise
     adam_step(params, grads, adam)
     return float(loss.data)
 

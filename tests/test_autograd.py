@@ -41,6 +41,31 @@ def test_backward_diamond_graph_single_visit():
     assert x.grad[0] == 3.0 * (5.0 + 7.0)
 
 
+def test_accumulate_never_writes_into_a_shared_gradient():
+    # add() hands one gradient to both parents; a later gradient summed into
+    # one parent must leave the other's untouched
+    a = Var(np.zeros(3, dtype=np.float32))
+    b = Var(np.zeros(3, dtype=np.float32))
+    y = ag.add(a, b)
+    g = np.asarray([1.0, 2.0, 3.0], dtype=np.float32)
+    y._backward(g)
+    ag.accumulate(a, np.full(3, 10.0, dtype=np.float32))
+    assert np.array_equal(b.grad, [1.0, 2.0, 3.0])
+    assert np.array_equal(g, [1.0, 2.0, 3.0])
+    assert np.array_equal(a.grad, [11.0, 12.0, 13.0])
+    # a gradient of another dtype or a broadcast shape lands in v.data's
+    # dtype and shape, first or later
+    c = Var(np.zeros((2, 3), dtype=np.float32))
+    ag.accumulate(c, np.ones(3))
+    ag.accumulate(c, np.ones((2, 3)))
+    assert c.grad.dtype == np.float32 and c.grad.shape == (2, 3)
+    assert np.array_equal(c.grad, np.full((2, 3), 2.0))
+    d = Var(np.zeros(3, dtype=np.float32))
+    ag.accumulate(d, np.ones(3, dtype=np.float32))
+    ag.accumulate(d, np.ones(3))
+    assert d.grad.dtype == np.float32
+
+
 def test_backward_seed_shape_checked():
     x = Var(np.zeros((1, 1, 2, 2, 2)))
     y = ag.relu(x)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from lungseg3d import gradcheck
 from lungseg3d.cli import main
 from lungseg3d.data import load_manifest, load_mhd, load_sample
 from lungseg3d.networks import NetworkConfig, build_network
@@ -39,6 +41,22 @@ def test_gradcheck_subcommand_reports_passes(capsys):
     assert echo["command"] == "gradcheck"
     reports = json.loads(out.split("\n", 1)[1])
     assert reports and all(r["pass"] for r in reports)
+
+
+def test_gradcheck_non_finite_probe_is_one_line_error(monkeypatch, capsys):
+    """A finite-difference probe that meets a NaN ends the command with one
+    error line naming the target, not a traceback."""
+    def nan_check(seed, tol):
+        x = np.ones(3)
+        gradcheck.finite_diff_grad(lambda v: float("nan"), x, 1e-6)
+        return []
+
+    monkeypatch.setitem(gradcheck.CHECKS, "relu", nan_check)
+    assert main(["gradcheck", "--target", "relu"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0] == ("error: gradcheck 'relu': non-finite probe at flat "
+                      "index 0")
 
 
 def test_phantom_gen_writes_samples(tmp_path, capsys):

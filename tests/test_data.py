@@ -90,6 +90,39 @@ def test_mhd_load_rejects_malformed_headers(tmp_path):
         load_mhd(_write_header(tmp_path, base, raw=b"\x00" * 5))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("CompressedData = True", "CompressedData = True not supported"),
+    ("HeaderSize = 16", "HeaderSize = 16 not supported"),
+    ("HeaderSize = -1", "HeaderSize = -1 not supported"),
+    ("TransformMatrix = 0 1 0 1 0 0 0 0 1", "is not the identity"),
+    ("TransformMatrix = 1 0 0 0 1 0 0 0 -1", "is not the identity"),
+    ("TransformMatrix = 1 0 0 0 1 0", "is not the identity"),
+    ("ElementDataFile = LIST", "ElementDataFile = LIST not supported"),
+    ("ElementDataFile = LOCAL", "ElementDataFile = LOCAL not supported"),
+])
+def test_mhd_load_rejects_keys_it_cannot_honour(tmp_path, line, message):
+    base = ("NDims = 3\nDimSize = 1 1 2\nElementType = MET_UCHAR\n"
+            "ElementDataFile = x.raw\n")
+    key = line.split(" = ")[0]
+    text = "".join(ln + "\n" for ln in base.splitlines()
+                   if not ln.startswith(key)) + line + "\n"
+    with pytest.raises(ValueError, match=message) as info:
+        load_mhd(_write_header(tmp_path, text))
+    assert "\n" not in str(info.value)
+
+
+def test_mhd_load_accepts_luna16_defaults(tmp_path):
+    header = ("ObjectType = Image\nNDims = 3\nBinaryData = True\n"
+              "BinaryDataByteOrderMSB = False\nCompressedData = False\n"
+              "TransformMatrix = 1 0 0 0 1 0 0 0 1\nOffset = -1.5 2 3\n"
+              "CenterOfRotation = 0 0 0\nAnatomicalOrientation = RAI\n"
+              "ElementSpacing = 0.7 0.7 2.5\nDimSize = 1 1 2\n"
+              "ElementType = MET_UCHAR\nElementDataFile = x.raw\n")
+    vol, meta = load_mhd(_write_header(tmp_path, header, raw=b"\x03\x05"))
+    assert vol.data.ravel().tolist() == [3.0, 5.0]
+    assert meta.spacing == (0.7, 0.7, 2.5) and meta.origin == (-1.5, 2.0, 3.0)
+
+
 def test_write_mhd_rejects_bad_inputs(tmp_path):
     with pytest.raises(ValueError):
         write_mhd(tmp_path / "x.mhd", np.zeros((1, 1, 2, 2, 2)),

@@ -206,9 +206,9 @@ CONV_TABLE = [
     # groups of 9 taps at one input channel, groups of 4 and a last group of
     # 3 at two; the tconv with one output channel stacks in its input
     # gradient
-    ("thin-c1-blocks", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 70),
+    ("thin-c1-blocks", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 80),
      np.float64, False),
-    ("thin-c1-blocks-f32", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 70),
+    ("thin-c1-blocks-f32", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 80),
      np.float32, False),
     ("thin-c2-blocks", "conv", 2, 3, 3, 1, 1, 1, 2, (8, 50, 60), np.float64,
      False),
@@ -288,12 +288,14 @@ def test_conv_family_matches_direct_sum(row):
 @pytest.mark.parametrize("row", [r for r in CONV_TABLE if "-blocks" in r[0]],
                          ids=lambda r: r[0])
 def test_conv_block_rows_span_three_blocks(row):
-    """Both GEMM loops of each "-blocks" row run over at least three column
-    blocks, and the last block is partial."""
+    """The three GEMM loops of each "-blocks" row run over at least three
+    column blocks, and the last block is partial."""
     label, kind, ci, co, k, s, d, pad, batch, dims, dtype, _ = row
     spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
-    # conv: the forward shifts into L output columns and the input gradient
-    # scatters into the phases; tconv swaps the two loops and channel roles
+    # conv: the forward shifts into L output columns, the input gradient
+    # scatters into the phases and the weight gradient sums over the L
+    # columns of gy and the phase slices; tconv swaps the first two loops and
+    # the channel roles
     if kind == "conv":
         plan, shift_rows, scatter_rows = _tap_plan(spec, dims), co, ci
     else:
@@ -303,7 +305,8 @@ def test_conv_block_rows_span_three_blocks(row):
     # the shift-GEMM's input rows are its stacked operand's
     g = _tap_group(scatter_rows, shift_rows)
     for cols, acc, inp in ((plan.L, shift_rows, g * scatter_rows),
-                           (int(np.prod(plan.M)), scatter_rows, shift_rows)):
+                           (int(np.prod(plan.M)), scatter_rows, shift_rows),
+                           (plan.L, shift_rows, scatter_rows)):
         nb = _block_cols(batch * acc, batch * inp, size)
         assert cols > 2 * nb and cols % nb, (label, cols, nb)
 

@@ -84,6 +84,34 @@ def test_adam_validates_inputs():
         adam_step([p], [np.zeros(3)], AdamState())
 
 
+def test_adam_f32_bytes_match_the_expressions():
+    """The in-place update gives the bytes of the plain expressions, for f32
+    parameters of rank 5, 1 and 0."""
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(11)
+    shapes = [(8, 4, 3, 3, 3), (5,), ()]
+    params = [Var(rng.standard_normal(s).astype(np.float32), name=f"p{i}")
+              for i, s in enumerate(shapes)]
+    ref_p = [v.data.copy() for v in params]
+    ref_m = [np.zeros(s, np.float32) for s in shapes]
+    ref_v = [np.zeros(s, np.float32) for s in shapes]
+    st = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        adam_step(params, grads, st)
+        for p, m, v, g in zip(ref_p, ref_m, ref_v, grads):
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** t)
+            vhat = v / (1.0 - b2 ** t)
+            p[...] = p - lr * mhat / (np.sqrt(vhat) + eps)
+        for var, p, m, v in zip(params, ref_p, ref_m, ref_v):
+            assert var.data.dtype == np.float32 and var.data.shape == p.shape
+            assert var.data.tobytes() == p.tobytes(), (t, var.name)
+            assert st.m[var.name].tobytes() == m.tobytes(), (t, var.name)
+            assert st.v[var.name].tobytes() == v.tobytes(), (t, var.name)
+
+
 def test_adam_state_keyed_by_name_across_rebuilds():
     st = AdamState()
     p1 = Var(np.zeros(2), name="w")
@@ -293,7 +321,8 @@ def test_train_missing_sample_raises(tmp_path):
 def test_train_stops_on_non_finite_loss(tmp_path, capsys):
     """A NaN in one training image stops the run at that step, before the
     update: the error names epoch, step and sample, and the parameters, the
-    Adam moments and the checkpoints on disk are untouched."""
+    Adam moments, the batchnorm running stats and the checkpoints on disk
+    are untouched."""
     d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
     man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
     out = tmp_path / "run"
@@ -316,10 +345,15 @@ def test_train_stops_on_non_finite_loss(tmp_path, capsys):
     params = list(state.net.params())
     before = [v.data.copy() for v in params]
     moments = {n: m.copy() for n, m in state.adam.m.items()}
+    stats = [(bn.state.running_mean.tobytes(), bn.state.running_var.tobytes())
+             for bn in state.net.batchnorms()]
     with pytest.raises(NonFiniteError):
         train_step(state.net, params, load_sample(d, bad), state.adam,
                    np.random.default_rng(0))
     assert all(np.array_equal(v.data, b) for v, b in zip(params, before))
+    assert stats == [(bn.state.running_mean.tobytes(),
+                      bn.state.running_var.tobytes())
+                     for bn in state.net.batchnorms()]
     assert state.adam.t == 2 and state.adam.m.keys() == moments.keys()
     assert all(np.array_equal(state.adam.m[n], m) for n, m in moments.items())
 
