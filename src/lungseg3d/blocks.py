@@ -56,20 +56,11 @@ def _record(name: str, v: Var) -> Var:
     return v
 
 
-def conv_weight(rng, c_out: int, c_in: int, kernel, dtype) -> np.ndarray:
-    """Fan-in scaled normal init for a conv weight (C_out, C_in, kd, kh, kw)."""
-    kd, kh, kw = kernel
-    fan_in = c_in * kd * kh * kw
-    std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal((c_out, c_in, kd, kh, kw)) * std).astype(dtype)
-
-
-def tconv_weight(rng, c_in: int, c_out: int, kernel, dtype) -> np.ndarray:
-    """Same scheme for a transposed-conv weight (C_in, C_out, kd, kh, kw)."""
-    kd, kh, kw = kernel
-    fan_in = c_in * kd * kh * kw
-    std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal((c_in, c_out, kd, kh, kw)) * std).astype(dtype)
+def fan_in_normal(rng, shape, c_in: int, dtype) -> np.ndarray:
+    """Normal init of a conv or tconv weight whose last three axes are the
+    kernel, scaled by sqrt(2 / fan_in) with fan_in = c_in * prod(kernel)."""
+    std = math.sqrt(2.0 / (c_in * math.prod(shape[2:])))
+    return (rng.standard_normal(shape) * std).astype(dtype)
 
 
 class Conv3d:
@@ -78,8 +69,9 @@ class Conv3d:
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
         self.name = name
         self.spec = spec
-        self.w = Var(conv_weight(rng, spec.out_channels, spec.in_channels,
-                                 spec.kernel, dtype), name=f"{name}.weight")
+        self.w = Var(fan_in_normal(
+            rng, (spec.out_channels, spec.in_channels) + spec.kernel,
+            spec.in_channels, dtype), name=f"{name}.weight")
         self.b = Var(np.zeros(spec.out_channels, dtype=dtype),
                      name=f"{name}.bias")
 
@@ -97,8 +89,9 @@ class TConv3d:
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
         self.name = name
         self.spec = spec
-        self.w = Var(tconv_weight(rng, spec.in_channels, spec.out_channels,
-                                  spec.kernel, dtype), name=f"{name}.weight")
+        self.w = Var(fan_in_normal(
+            rng, (spec.in_channels, spec.out_channels) + spec.kernel,
+            spec.in_channels, dtype), name=f"{name}.weight")
         self.b = Var(np.zeros(spec.out_channels, dtype=dtype),
                      name=f"{name}.bias")
 

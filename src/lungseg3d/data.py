@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import as_nd
-from .tensor import Tensor5, load_array, save_array
+from .tensor import Tensor5, as_nd, load_array, save_array
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),

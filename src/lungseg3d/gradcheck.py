@@ -1,28 +1,31 @@
 """Finite-difference certification of every analytic backward pass.
 
-The oracle is central differences in f64. Each registered check builds a
-micro instance of an op, block, or network, projects its output to a scalar
-with a fixed random weighting, backprops analytically, and compares against
-numeric derivatives element by element (or over sampled coordinates for the
-full networks).
+The oracle is central differences in f64. Each check builds a micro
+instance of an op, block, or network, projects its output to a scalar with a
+fixed random weighting, backprops analytically, and compares against numeric
+derivatives element by element (or over sampled coordinates for the full
+networks). Op, loss and block checks are rows of one table run by one
+runner; dropout and the two networks have their own functions.
 
 The registry doubles as a coverage gate: the test suite fails if a tape op
 exists without a registered check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autograd as ag
-from . import losses, ops
+from . import losses
 from .autograd import Var, accumulate, from_op
 from .blocks import (AttentionGate3d, DoubleConvBlock3d, ResidualBlock3d,
                      WindowAttention3d)
 from .networks import NetworkConfig, build_network
-from .ops import ConvSpec, LayerParams
+from .ops import BatchNormState, ConvSpec
 
 # Differences below ABS_FLOOR sit at the oracle's own noise level (forward
 # round-off divided by 2h) and carry no signal about backward correctness;
@@ -64,7 +67,7 @@ def finite_diff_grad(f, x, h: float) -> np.ndarray:
     x is perturbed in place one coordinate at a time and restored, so f may
     either use its argument or close over the same buffer.
     """
-    x = ops.as_nd(x)
+    x = np.asarray(x)
     if x.dtype != np.float64:
         raise ValueError("finite differences require f64 inputs")
     grad = np.zeros_like(x)
@@ -253,129 +256,193 @@ def oracle_selftest(seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Elementary op checks
+# The check table: elementary op, loss and block checks as rows
 # ---------------------------------------------------------------------------
 
-@register("conv3d")
-def _check_conv(seed, tol):
-    reports = []
-    cases = [
-        (0, "s1d1p1", (1, 2, 6, 6, 6),
+@dataclass(frozen=True)
+class Row:
+    """One checked tape call.
+
+    The runner seeds an RNG from (seed, *tag) and draws, in this order: the
+    block (if `build` is set), the checked inputs, the constants and the
+    output projection. `call` gets them in the same order and must look its
+    kernel up when it runs, so that a rebound module attribute is honoured.
+    """
+
+    name: str                   # op name in the reports
+    tag: tuple
+    inputs: tuple               # (tensor name, draw(rng)) per checked input
+    call: Callable              # call([block,] *inputs, *consts) -> Var
+    consts: tuple = ()          # draw(rng) per unchecked argument
+    build: Callable = None      # build(rng) -> block; its params are checked
+    h: float = H_SHALLOW
+    tol: float = TOL_DEFAULT
+    note: str = ""
+
+    @property
+    def target(self) -> str:
+        return self.name.split("[")[0]
+
+
+def _normal(shape, scale=1.0):
+    return lambda rng: _rand(rng, shape) * scale
+
+
+def _uniform(lo, hi, shape):
+    return lambda rng: rng.uniform(lo, hi, size=shape)
+
+
+def _mask(shape):
+    return lambda rng: (rng.random(shape) < 0.4).astype(np.float64)
+
+
+def _off_kink(shape):
+    def draw(rng):
+        x = _rand(rng, shape)
+        near = np.abs(x) < 0.05
+        return x + 0.1 * np.where(x >= 0, 1.0, -1.0) * near
+    return draw
+
+
+def _run_row(row: Row, seed, tol):
+    rng = np.random.default_rng([seed, *row.tag])
+    args = [row.build(rng)] if row.build else []
+    tensors = [(name, Var(draw(rng))) for name, draw in row.inputs]
+    args += [v for _, v in tensors] + [draw(rng) for draw in row.consts]
+    if row.build:
+        tensors += [(v.name, v) for v in args[0].params()]
+    out = lambda: row.call(*args)
+    with ag.no_grad():
+        shape = out().data.shape
+    loss_fn = out
+    if shape:  # a 0-d output is already the probe scalar
+        r = _rand(rng, shape)
+        loss_fn = lambda: _project(out(), r)
+    return _check_tensors(row.name, loss_fn, tensors, tol, row.h, row.note)
+
+
+def _conv_rows(target, op, tag, cases):
+    """One row per (label, input shape, spec); tconv weights are (in, out)."""
+    rows = []
+    for i, (label, shape, spec) in enumerate(cases):
+        io = (spec.in_channels, spec.out_channels)
+        w_shape = (io if op == "tconv" else io[::-1]) + spec.kernel
+        rows.append(Row(
+            f"{target}[{label}]", (tag, i),
+            (("x", _normal(shape)), ("weight", _normal(w_shape, 0.5)),
+             ("bias", _normal((spec.out_channels,)))),
+            lambda x, w, b, op=op, spec=spec: getattr(ag, op)(x, w, b, spec)))
+    return rows
+
+
+def _window_attention(rng):
+    block = WindowAttention3d("wa", 2, (2, 2, 2), rng, dtype=np.float64)
+    block.gamma.data[...] = 0.7  # zero gamma would null the param grads
+    return block
+
+
+_X = (1, 2, 4, 4, 4)
+_X3 = (1, 2, 3, 3, 3)
+_P = (1, 1, 4, 4, 4)  # loss probabilities and mask
+_F64 = np.float64
+
+TABLE = (
+    *_conv_rows("conv3d", "conv", 0xC0, (
+        ("s1d1p1", (1, 2, 6, 6, 6),
          ConvSpec(2, 3, kernel=(3, 3, 3), padding=(1, 1, 1))),
-        (1, "s2d2p2", (1, 2, 8, 6, 6),
+        ("s2d2p2", (1, 2, 8, 6, 6),
          ConvSpec(2, 2, kernel=(3, 3, 3), stride=(2, 2, 2),
-                  dilation=(2, 2, 2), padding=(2, 2, 2))),
-    ]
-    for tag, label, shape, spec in cases:
-        rng = np.random.default_rng([seed, 0xC0, tag])
-        x = Var(_rand(rng, shape))
-        w = Var(_rand(rng, (spec.out_channels, spec.in_channels) + spec.kernel)
-                * 0.5)
-        b = Var(_rand(rng, (spec.out_channels,)))
-        out = ops.conv3d(x.data, LayerParams(w.data, b.data, spec))
-        r = _rand(rng, out.shape)
-        loss_fn = lambda: _project(ag.conv(x, w, b, spec), r)
-        reports.extend(_check_tensors(
-            f"conv3d[{label}]", loss_fn,
-            [("x", x), ("weight", w), ("bias", b)], tol, H_SHALLOW))
-    return reports
+                  dilation=(2, 2, 2), padding=(2, 2, 2))))),
+    *_conv_rows("tconv3d", "tconv", 0xC1, (
+        ("s2k2", _X, ConvSpec(2, 3, kernel=(2, 2, 2), stride=(2, 2, 2))),
+        ("s1d2p2", _X, ConvSpec(2, 2, kernel=(3, 3, 3), dilation=(2, 2, 2),
+                                padding=(2, 2, 2))))),
+    # A fresh state per call keeps the running stats fixed across probes.
+    *(Row(f"batchnorm3d[{mode}]", (0xB0, i),
+          (("x", _normal((2, 3, 4, 4, 4))),
+           ("gamma", _uniform(0.5, 1.5, (3,))), ("beta", _normal((3,)))),
+          lambda x, g, b, rm, rv, mode=mode: ag.batchnorm(
+              x, g, b, BatchNormState(rm, rv), mode),
+          consts=(_normal((3,), 0.1), _uniform(0.5, 1.5, (3,))))
+      for i, mode in enumerate(("train", "eval"))),
+    Row("relu", (0xA0,), (("x", _off_kink(_X)),), lambda x: ag.relu(x),
+        note="inputs within 0.05 of zero nudged by 0.1"),
+    Row("sigmoid", (0xA1,), (("x", _normal(_X)),), lambda x: ag.sigmoid(x)),
+    Row("softmax", (0xA2,), (("x", _normal((2, 3, 5, 7))),),
+        lambda x: ag.softmax_lastdim(x)),
+    Row("maxpool3d", (0xA3,), (("x", _normal((1, 2, 4, 4, 6))),),
+        lambda x: ag.maxpool(x, (2, 2, 2))),
+    Row("concat", (0xA6,), (("a", _normal(_X3)),
+                            ("b", _normal((1, 3, 3, 3, 3)))),
+        lambda a, b: ag.concat(a, b)),
+    Row("slice_channels", (0xA7,), (("x", _normal((1, 6, 3, 3, 3))),),
+        lambda x: ag.slice_channels(x, 2, 4)),
+    Row("center_crop", (0xA8,), (("x", _normal((1, 2, 6, 7, 6))),),
+        lambda x: ag.center_crop(x, (3, 4, 4))),
+    Row("pad", (0xA9,), (("x", _normal(_X3)),),
+        lambda x: ag.pad(x, ((1, 2), (0, 1), (2, 0)))),
+    Row("add", (0xAA,), (("a", _normal(_X3)), ("b", _normal(_X3))),
+        lambda a, b: ag.add(a, b)),
+    Row("scale_by", (0xAB,), (("x", _normal(_X3)),
+                              ("scale", lambda rng: np.asarray(0.7))),
+        lambda x, s: ag.scale_by(x, s)),
+    Row("const_mul", (0xAC,), (("x", _normal(_X3)),),
+        lambda x: ag.const_mul(x, 0.37)),
+    Row("channel_scale", (0xAD,),
+        (("x", _normal((1, 3, 3, 3, 3))),
+         ("scale_map", _uniform(0.1, 0.9, (1, 1, 3, 3, 3)))),
+        lambda x, s: ag.channel_scale(x, s)),
+    Row("unfold", (0xAE,), (("x", _normal((1, 3, 4, 4, 4))),),
+        lambda x: ag.unfold(x, (2, 2, 2))),
+    Row("fold", (0xAF,), (("tokens", _normal((1, 8, 8, 3))),),
+        lambda t: ag.fold(t, (2, 2, 2), (4, 4, 4))),
+    Row("matmul_qk", (0xB1,), (("q", _normal((1, 3, 4, 2))),
+                               ("k", _normal((1, 3, 4, 2)))),
+        lambda q, k: ag.matmul_qk(q, k)),
+    Row("matmul_av", (0xB2,), (("attn", _normal((1, 3, 4, 4))),
+                               ("v", _normal((1, 3, 4, 2)))),
+        lambda a, v: ag.matmul_av(a, v)),
+    Row("bce_loss", (0xBE,), (("p", _uniform(0.05, 0.95, _P)),),
+        lambda p, m: losses.bce_term(p, m), consts=(_mask(_P),), tol=1e-6),
+    Row("dice_loss", (0xD1,), (("p", _uniform(0.05, 0.95, _P)),),
+        lambda p, m: losses.dice_term(p, m), consts=(_mask(_P),), tol=1e-6),
+    Row("combined_loss", (0xC2,), (("p", _uniform(0.05, 0.95, _P)),),
+        lambda p, m: losses.combined_term(p, m), consts=(_mask(_P),),
+        tol=1e-6),
+    *(Row(f"residual_block[s{s}]", (0xE0, s), (("x", _normal(_X)),),
+          lambda blk, x: blk.forward(x, "train"), h=H_DEEP,
+          build=lambda rng, s=s: ResidualBlock3d("rb", 2, 3, s, rng,
+                                                 dtype=_F64))
+      for s in (1, 2)),
+    Row("attention_gate", (0xE1,),
+        (("x_enc", _normal(_X)), ("g_dec", _normal((1, 3, 2, 2, 2)))),
+        lambda blk, x, g: blk.forward(x, g), h=H_DEEP,
+        build=lambda rng: AttentionGate3d("gate", 2, 3, rng, dtype=_F64)),
+    Row("window_attention", (0xE2,), (("x", _normal(_X)),),
+        lambda blk, x: blk.forward(x), build=_window_attention, h=H_DEEP),
+    Row("conv_block", (0xE3,), (("x", _normal(_X)),),
+        lambda blk, x: blk.forward(x, "train", None), h=H_DEEP,
+        build=lambda rng: DoubleConvBlock3d("cb", 2, 3, 0.0, rng, dtype=_F64),
+        note="dropout rate 0"),
+)
 
 
-@register("tconv3d")
-def _check_tconv(seed, tol):
-    reports = []
-    cases = [
-        (0, "s2k2", (1, 2, 4, 4, 4),
-         ConvSpec(2, 3, kernel=(2, 2, 2), stride=(2, 2, 2))),
-        (1, "s1d2p2", (1, 2, 4, 4, 4),
-         ConvSpec(2, 2, kernel=(3, 3, 3), dilation=(2, 2, 2),
-                  padding=(2, 2, 2))),
-    ]
-    for tag, label, shape, spec in cases:
-        rng = np.random.default_rng([seed, 0xC1, tag])
-        x = Var(_rand(rng, shape))
-        w = Var(_rand(rng, (spec.in_channels, spec.out_channels) + spec.kernel)
-                * 0.5)
-        b = Var(_rand(rng, (spec.out_channels,)))
-        out = ops.tconv3d(x.data, LayerParams(w.data, b.data, spec))
-        r = _rand(rng, out.shape)
-        loss_fn = lambda: _project(ag.tconv(x, w, b, spec), r)
-        reports.extend(_check_tensors(
-            f"tconv3d[{label}]", loss_fn,
-            [("x", x), ("weight", w), ("bias", b)], tol, H_SHALLOW))
-    return reports
+def _run_target(target, seed, tol):
+    return [rep for row in TABLE if row.target == target
+            for rep in _run_row(row, seed, tol)]
 
 
-@register("batchnorm3d")
-def _check_batchnorm(seed, tol):
-    reports = []
-    for mode in ("train", "eval"):
-        rng = np.random.default_rng([seed, 0xB0, 0 if mode == "train" else 1])
-        x = Var(_rand(rng, (2, 3, 4, 4, 4)))
-        gamma = Var(rng.uniform(0.5, 1.5, size=3))
-        beta = Var(_rand(rng, (3,)))
-        bn = ops.BatchNormState(running_mean=_rand(rng, (3,)) * 0.1,
-                                running_var=rng.uniform(0.5, 1.5, size=3))
-        r = _rand(rng, x.data.shape)
-        rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-
-        def loss_fn():
-            # Freeze running stats so train-mode probes stay repeatable.
-            bn.running_mean = rm.copy()
-            bn.running_var = rv.copy()
-            return _project(ag.batchnorm(x, gamma, beta, bn, mode), r)
-
-        reports.extend(_check_tensors(
-            f"batchnorm3d[{mode}]", loss_fn,
-            [("x", x), ("gamma", gamma), ("beta", beta)], tol, H_SHALLOW))
-    return reports
-
-
-@register("relu")
-def _check_relu(seed, tol):
-    rng = np.random.default_rng([seed, 0xA0])
-    x = _rand(rng, (1, 2, 4, 4, 4))
-    near = np.abs(x) < 0.05
-    x = x + 0.1 * np.where(x >= 0, 1.0, -1.0) * near
-    xv = Var(x)
-    r = _rand(rng, x.shape)
-    loss_fn = lambda: _project(ag.relu(xv), r)
-    return _check_tensors("relu", loss_fn, [("x", xv)], tol, H_SHALLOW,
-                          note="inputs within 0.05 of zero nudged by 0.1")
-
-
-@register("sigmoid")
-def _check_sigmoid(seed, tol):
-    rng = np.random.default_rng([seed, 0xA1])
-    xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-    r = _rand(rng, xv.data.shape)
-    loss_fn = lambda: _project(ag.sigmoid(xv), r)
-    return _check_tensors("sigmoid", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("softmax")
-def _check_softmax(seed, tol):
-    rng = np.random.default_rng([seed, 0xA2])
-    xv = Var(_rand(rng, (2, 3, 5, 7)))
-    r = _rand(rng, xv.data.shape)
-    loss_fn = lambda: _project(ag.softmax_lastdim(xv), r)
-    return _check_tensors("softmax", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("maxpool3d")
-def _check_maxpool(seed, tol):
-    rng = np.random.default_rng([seed, 0xA3])
-    xv = Var(_rand(rng, (1, 2, 4, 4, 6)))
-    r = _rand(rng, (1, 2, 2, 2, 3))
-    loss_fn = lambda: _project(ag.maxpool(xv, (2, 2, 2)), r)
-    return _check_tensors("maxpool3d", loss_fn, [("x", xv)], tol, H_SHALLOW)
+for _row in TABLE:
+    register(_row.target, _row.tol)(functools.partial(_run_target,
+                                                      _row.target))
 
 
 @register("dropout")
 def _check_dropout(seed, tol):
+    # Not a row: the eval case reuses the train case's projection.
     rng = np.random.default_rng([seed, 0xA4])
-    xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-    r = _rand(rng, xv.data.shape)
+    xv = Var(_rand(rng, _X))
+    r = _rand(rng, _X)
     rate = 0.3
 
     def loss_fn():
@@ -389,225 +456,6 @@ def _check_dropout(seed, tol):
     reports.extend(_check_tensors("dropout[eval]", loss_eval, [("x", xv)],
                                   tol, H_SHALLOW))
     return reports
-
-
-@register("concat")
-def _check_concat(seed, tol):
-    rng = np.random.default_rng([seed, 0xA6])
-    a = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    b = Var(_rand(rng, (1, 3, 3, 3, 3)))
-    r = _rand(rng, (1, 5, 3, 3, 3))
-    loss_fn = lambda: _project(ag.concat(a, b), r)
-    return _check_tensors("concat", loss_fn, [("a", a), ("b", b)], tol,
-                          H_SHALLOW)
-
-
-@register("slice_channels")
-def _check_slice(seed, tol):
-    rng = np.random.default_rng([seed, 0xA7])
-    xv = Var(_rand(rng, (1, 6, 3, 3, 3)))
-    r = _rand(rng, (1, 2, 3, 3, 3))
-    loss_fn = lambda: _project(ag.slice_channels(xv, 2, 4), r)
-    return _check_tensors("slice_channels", loss_fn, [("x", xv)], tol,
-                          H_SHALLOW)
-
-
-@register("center_crop")
-def _check_crop(seed, tol):
-    rng = np.random.default_rng([seed, 0xA8])
-    xv = Var(_rand(rng, (1, 2, 6, 7, 6)))
-    r = _rand(rng, (1, 2, 3, 4, 4))
-    loss_fn = lambda: _project(ag.center_crop(xv, (3, 4, 4)), r)
-    return _check_tensors("center_crop", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("pad")
-def _check_pad(seed, tol):
-    rng = np.random.default_rng([seed, 0xA9])
-    xv = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    spec = ((1, 2), (0, 1), (2, 0))
-    r = _rand(rng, (1, 2, 6, 4, 5))
-    loss_fn = lambda: _project(ag.pad(xv, spec), r)
-    return _check_tensors("pad", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("add")
-def _check_add(seed, tol):
-    rng = np.random.default_rng([seed, 0xAA])
-    a = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    b = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    r = _rand(rng, a.data.shape)
-    loss_fn = lambda: _project(ag.add(a, b), r)
-    return _check_tensors("add", loss_fn, [("a", a), ("b", b)], tol, H_SHALLOW)
-
-
-@register("scale_by")
-def _check_scale_by(seed, tol):
-    rng = np.random.default_rng([seed, 0xAB])
-    xv = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    s = Var(np.asarray(0.7))
-    r = _rand(rng, xv.data.shape)
-    loss_fn = lambda: _project(ag.scale_by(xv, s), r)
-    return _check_tensors("scale_by", loss_fn, [("x", xv), ("scale", s)], tol,
-                          H_SHALLOW)
-
-
-@register("const_mul")
-def _check_const_mul(seed, tol):
-    rng = np.random.default_rng([seed, 0xAC])
-    xv = Var(_rand(rng, (1, 2, 3, 3, 3)))
-    r = _rand(rng, xv.data.shape)
-    loss_fn = lambda: _project(ag.const_mul(xv, 0.37), r)
-    return _check_tensors("const_mul", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("channel_scale")
-def _check_channel_scale(seed, tol):
-    rng = np.random.default_rng([seed, 0xAD])
-    xv = Var(_rand(rng, (1, 3, 3, 3, 3)))
-    s = Var(rng.uniform(0.1, 0.9, size=(1, 1, 3, 3, 3)))
-    r = _rand(rng, xv.data.shape)
-    loss_fn = lambda: _project(ag.channel_scale(xv, s), r)
-    return _check_tensors("channel_scale", loss_fn,
-                          [("x", xv), ("scale_map", s)], tol, H_SHALLOW)
-
-
-@register("unfold")
-def _check_unfold(seed, tol):
-    rng = np.random.default_rng([seed, 0xAE])
-    xv = Var(_rand(rng, (1, 3, 4, 4, 4)))
-    r = _rand(rng, (1, 8, 8, 3))
-    loss_fn = lambda: _project(ag.unfold(xv, (2, 2, 2)), r)
-    return _check_tensors("unfold", loss_fn, [("x", xv)], tol, H_SHALLOW)
-
-
-@register("fold")
-def _check_fold(seed, tol):
-    rng = np.random.default_rng([seed, 0xAF])
-    tv = Var(_rand(rng, (1, 8, 8, 3)))
-    r = _rand(rng, (1, 3, 4, 4, 4))
-    loss_fn = lambda: _project(ag.fold(tv, (2, 2, 2), (4, 4, 4)), r)
-    return _check_tensors("fold", loss_fn, [("tokens", tv)], tol, H_SHALLOW)
-
-
-@register("matmul_qk")
-def _check_matmul_qk(seed, tol):
-    rng = np.random.default_rng([seed, 0xB1])
-    q = Var(_rand(rng, (1, 3, 4, 2)))
-    k = Var(_rand(rng, (1, 3, 4, 2)))
-    r = _rand(rng, (1, 3, 4, 4))
-    loss_fn = lambda: _project(ag.matmul_qk(q, k), r)
-    return _check_tensors("matmul_qk", loss_fn, [("q", q), ("k", k)], tol,
-                          H_SHALLOW)
-
-
-@register("matmul_av")
-def _check_matmul_av(seed, tol):
-    rng = np.random.default_rng([seed, 0xB2])
-    a = Var(_rand(rng, (1, 3, 4, 4)))
-    v = Var(_rand(rng, (1, 3, 4, 2)))
-    r = _rand(rng, (1, 3, 4, 2))
-    loss_fn = lambda: _project(ag.matmul_av(a, v), r)
-    return _check_tensors("matmul_av", loss_fn, [("attn", a), ("v", v)], tol,
-                          H_SHALLOW)
-
-
-# ---------------------------------------------------------------------------
-# Loss checks
-# ---------------------------------------------------------------------------
-
-@register("bce_loss", tol=1e-6)
-def _check_bce(seed, tol):
-    rng = np.random.default_rng([seed, 0xBE])
-    p = Var(rng.uniform(0.05, 0.95, size=(1, 1, 4, 4, 4)))
-    m = (rng.random((1, 1, 4, 4, 4)) < 0.4).astype(np.float64)
-    loss_fn = lambda: losses.bce_term(p, m)
-    return _check_tensors("bce_loss", loss_fn, [("p", p)], tol, H_SHALLOW)
-
-
-@register("dice_loss", tol=1e-6)
-def _check_dice(seed, tol):
-    rng = np.random.default_rng([seed, 0xD1])
-    p = Var(rng.uniform(0.05, 0.95, size=(1, 1, 4, 4, 4)))
-    m = (rng.random((1, 1, 4, 4, 4)) < 0.4).astype(np.float64)
-    loss_fn = lambda: losses.dice_term(p, m)
-    return _check_tensors("dice_loss", loss_fn, [("p", p)], tol, H_SHALLOW)
-
-
-@register("combined_loss", tol=1e-6)
-def _check_combined(seed, tol):
-    rng = np.random.default_rng([seed, 0xC2])
-    p = Var(rng.uniform(0.05, 0.95, size=(1, 1, 4, 4, 4)))
-    m = (rng.random((1, 1, 4, 4, 4)) < 0.4).astype(np.float64)
-    loss_fn = lambda: losses.combined_term(p, m)
-    return _check_tensors("combined_loss", loss_fn, [("p", p)], tol, H_SHALLOW)
-
-
-# ---------------------------------------------------------------------------
-# Block checks
-# ---------------------------------------------------------------------------
-
-def _block_tensors(block, x_vars):
-    tensors = list(x_vars)
-    for var in block.params():
-        tensors.append((var.name, var))
-    return tensors
-
-
-@register("residual_block")
-def _check_residual_block(seed, tol):
-    reports = []
-    for label, stride in (("s1", 1), ("s2", 2)):
-        rng = np.random.default_rng([seed, 0xE0, stride])
-        block = ResidualBlock3d("rb", 2, 3, stride, rng, dtype=np.float64)
-        xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-        out = block.forward(xv, "train")
-        r = _rand(rng, out.data.shape)
-        loss_fn = lambda: _project(block.forward(xv, "train"), r)
-        reports.extend(_check_tensors(
-            f"residual_block[{label}]", loss_fn,
-            _block_tensors(block, [("x", xv)]), tol, H_DEEP))
-    return reports
-
-
-@register("attention_gate")
-def _check_attention_gate(seed, tol):
-    rng = np.random.default_rng([seed, 0xE1])
-    gate = AttentionGate3d("gate", 2, 3, rng, dtype=np.float64)
-    xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-    gv = Var(_rand(rng, (1, 3, 2, 2, 2)))
-    out = gate.forward(xv, gv)
-    r = _rand(rng, out.data.shape)
-    loss_fn = lambda: _project(gate.forward(xv, gv), r)
-    return _check_tensors("attention_gate", loss_fn,
-                          _block_tensors(gate, [("x_enc", xv), ("g_dec", gv)]),
-                          tol, H_DEEP)
-
-
-@register("window_attention")
-def _check_window_attention(seed, tol):
-    rng = np.random.default_rng([seed, 0xE2])
-    block = WindowAttention3d("wa", 2, (2, 2, 2), rng, dtype=np.float64)
-    block.gamma.data[...] = 0.7  # zero gamma would null the param grads
-    xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-    out = block.forward(xv)
-    r = _rand(rng, out.data.shape)
-    loss_fn = lambda: _project(block.forward(xv), r)
-    return _check_tensors("window_attention", loss_fn,
-                          _block_tensors(block, [("x", xv)]), tol, H_DEEP)
-
-
-@register("conv_block")
-def _check_conv_block(seed, tol):
-    rng = np.random.default_rng([seed, 0xE3])
-    block = DoubleConvBlock3d("cb", 2, 3, 0.0, rng, dtype=np.float64)
-    xv = Var(_rand(rng, (1, 2, 4, 4, 4)))
-    out = block.forward(xv, "train", None)
-    r = _rand(rng, out.data.shape)
-    loss_fn = lambda: _project(block.forward(xv, "train", None), r)
-    return _check_tensors("conv_block", loss_fn,
-                          _block_tensors(block, [("x", xv)]), tol, H_DEEP,
-                          note="dropout rate 0")
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +532,29 @@ def _sampled_network_check(op_name, net, loss_fn, seed, tol,
     return reports
 
 
-@register("lung_net", tol=TOL_NETWORK)
-def _check_lung_net(seed, tol):
-    config = NetworkConfig(stage_channels=[2, 4, 8, 16],
-                           input_geometry=(1, 16, 16, 16))
-    net = build_network("lung", config, seed, dtype=np.float64)
-    rng = np.random.default_rng([seed, 0xF0])
+
+
+def _half_gamma(net):
+    net.attn.gamma.data[...] = 0.5
+
+
+# kind -> (config, RNG tag, set-up of the freshly built net)
+NETWORKS = {
+    "lung": (NetworkConfig(stage_channels=[2, 4, 8, 16],
+                           input_geometry=(1, 16, 16, 16)), 0xF0, None),
+    "nodule": (NetworkConfig(stage_channels=[2, 4, 8, 16],
+                             input_geometry=(1, 16, 16, 16),
+                             attn_window=(1, 1, 1), dropout_rate=0.0),
+               0xF1, _half_gamma),
+}
+
+
+def _check_network(kind, seed, tol):
+    config, tag, setup = NETWORKS[kind]
+    net = build_network(kind, config, seed, dtype=np.float64)
+    if setup is not None:
+        setup(net)
+    rng = np.random.default_rng([seed, tag])
     # Batch 4: the deepest stages collapse to one voxel per channel, and a
     # batch norm over fewer samples degenerates (one sample maps everything
     # to its offset; two behave like a sign function), leaving nothing but
@@ -699,21 +564,10 @@ def _check_lung_net(seed, tol):
     # init can land on.  The loss backwards have their own checks.
     xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
     r = _rand(rng, (4, 1, 16, 16, 16))
-
     loss_fn = lambda: _project(net.forward(xv, "train"), r)
-    return _sampled_network_check("lung_net", net, loss_fn, seed, tol)
+    return _sampled_network_check(f"{kind}_net", net, loss_fn, seed, tol)
 
 
-@register("nodule_net", tol=TOL_NETWORK)
-def _check_nodule_net(seed, tol):
-    config = NetworkConfig(stage_channels=[2, 4, 8, 16],
-                           input_geometry=(1, 16, 16, 16),
-                           attn_window=(1, 1, 1), dropout_rate=0.0)
-    net = build_network("nodule", config, seed, dtype=np.float64)
-    net.attn.gamma.data[...] = 0.5
-    rng = np.random.default_rng([seed, 0xF1])
-    xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
-    r = _rand(rng, (4, 1, 16, 16, 16))
-
-    loss_fn = lambda: _project(net.forward(xv, "train"), r)
-    return _sampled_network_check("nodule_net", net, loss_fn, seed, tol)
+for _kind in NETWORKS:
+    register(f"{_kind}_net", TOL_NETWORK)(functools.partial(_check_network,
+                                                            _kind))

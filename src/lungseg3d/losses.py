@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Var, accumulate, from_op, no_grad
-from .ops import as_nd
+from .tensor import as_nd
 
 CLAMP_EPS = 1e-7
 DICE_SMOOTH = 1e-6

@@ -66,15 +66,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor5
-
-
-def as_nd(x) -> np.ndarray:
-    """Accept a Tensor5 or ndarray and return the underlying ndarray."""
-    if isinstance(x, Tensor5):
-        return x.data
-    return np.asarray(x)
-
 
 def _triple(v) -> tuple[int, int, int]:
     if isinstance(v, (int, np.integer)):
@@ -323,7 +314,7 @@ def _weight_gemm(gyp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
 
 def conv3d(x, p: LayerParams) -> np.ndarray:
     """Strided, dilated 3D cross-correlation with zero padding and bias."""
-    x, spec = as_nd(x), p.spec
+    spec = p.spec
     B, C, D, H, W = x.shape
     if C != spec.in_channels:
         raise ValueError(f"input has {C} channels, layer expects {spec.in_channels}")
@@ -339,16 +330,16 @@ def conv3d(x, p: LayerParams) -> np.ndarray:
 
 def conv3d_backward(x, p: LayerParams, grad_out):
     """Gradients of conv3d w.r.t. input, weight and bias."""
-    x, gy, spec = as_nd(x), as_nd(grad_out), p.spec
+    spec = p.spec
     B, C, D, H, W = x.shape
     plan = _tap_plan(spec, (D, H, W))
-    if gy.shape != (B, spec.out_channels) + plan.out:
-        raise ValueError(f"grad_out shape {gy.shape} does not match "
+    if grad_out.shape != (B, spec.out_channels) + plan.out:
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match "
                          f"conv output {(B, spec.out_channels) + plan.out}")
-    gyp = _pitched(gy, plan)
+    gyp = _pitched(grad_out, plan)
     gx = _scatter_gemm(gyp, p.weight, spec, plan, (D, H, W), x.dtype)
     gw = _weight_gemm(gyp, _phases(x, spec, plan), plan, p.weight)
-    return np.ascontiguousarray(gx), gw, gy.sum(axis=(0, 2, 3, 4))
+    return np.ascontiguousarray(gx), gw, grad_out.sum(axis=(0, 2, 3, 4))
 
 
 def tconv3d(x, p: LayerParams) -> np.ndarray:
@@ -357,7 +348,7 @@ def tconv3d(x, p: LayerParams) -> np.ndarray:
     Weight axes are (in_channels, out_channels, kd, kh, kw), so passing a
     conv3d weight unchanged yields that convolution's exact adjoint.
     """
-    x, spec = as_nd(x), p.spec
+    spec = p.spec
     B, C, D, H, W = x.shape
     if C != spec.in_channels:
         raise ValueError(f"input has {C} channels, layer expects {spec.in_channels}")
@@ -371,17 +362,17 @@ def tconv3d(x, p: LayerParams) -> np.ndarray:
 
 def tconv3d_backward(x, p: LayerParams, grad_out):
     """Gradients of tconv3d w.r.t. input, weight and bias."""
-    x, gy, spec = as_nd(x), as_nd(grad_out), p.spec
+    spec = p.spec
     B, C, D, H, W = x.shape
     out = spec.tconv_out_dims((D, H, W))
-    if gy.shape != (B, spec.out_channels) + out:
-        raise ValueError(f"grad_out shape {gy.shape} does not match "
+    if grad_out.shape != (B, spec.out_channels) + out:
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match "
                          f"tconv output {(B, spec.out_channels) + out}")
     plan = _tap_plan(spec, out)
-    gyph = _phases(gy, spec, plan)
+    gyph = _phases(grad_out, spec, plan)
     gx = np.ascontiguousarray(_shift_gemm(gyph, p.weight, plan, x.dtype))
     gw = _weight_gemm(_pitched(x, plan), gyph, plan, p.weight)
-    return gx, gw, gy.sum(axis=(0, 2, 3, 4))
+    return gx, gw, grad_out.sum(axis=(0, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +385,6 @@ def maxpool3d(x, window):
     Ties go to the first index in (d, h, w) scan order, so the backward
     routing is deterministic.
     """
-    x = as_nd(x)
     wd, wh, ww = _triple(window)
     B, C, D, H, W = x.shape
     if D % wd or H % wh or W % ww:
@@ -410,12 +400,11 @@ def maxpool3d(x, window):
 
 def maxpool3d_backward(idx, in_shape, window, grad_out):
     """Route grad_out to the argmax voxel of each pooling window."""
-    gy = as_nd(grad_out)
     wd, wh, ww = _triple(window)
     B, C, D, H, W = in_shape
     od, oh, ow = D // wd, H // wh, W // ww
-    flat = np.zeros((B, C, od, oh, ow, wd * wh * ww), dtype=gy.dtype)
-    np.put_along_axis(flat, idx[..., None], gy[..., None], axis=-1)
+    flat = np.zeros((B, C, od, oh, ow, wd * wh * ww), dtype=grad_out.dtype)
+    np.put_along_axis(flat, idx[..., None], grad_out[..., None], axis=-1)
     gx = (flat.reshape(B, C, od, oh, ow, wd, wh, ww)
           .transpose(0, 1, 2, 5, 3, 6, 4, 7)
           .reshape(B, C, D, H, W))
@@ -440,7 +429,6 @@ def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
     Train mode normalizes by batch statistics over (B, D, H, W) and updates
     the running stats in place; eval mode normalizes by the running stats.
     """
-    x = as_nd(x)
     C = x.shape[1]
     if gamma.shape[0] != C:
         raise ValueError(f"batchnorm has {gamma.shape[0]} channels, input has {C}")
@@ -472,10 +460,9 @@ def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
 def batchnorm3d_backward(cache, grad_out):
     """Gradients of batchnorm3d w.r.t. input, gamma and beta."""
     xhat, invstd, gamma, mode = cache
-    gy = as_nd(grad_out)
-    dgamma = (gy * xhat).sum(axis=_BN_AXES)
-    dbeta = gy.sum(axis=_BN_AXES)
-    gxhat = gy * _ch(gamma)
+    dgamma = (grad_out * xhat).sum(axis=_BN_AXES)
+    dbeta = grad_out.sum(axis=_BN_AXES)
+    gxhat = grad_out * _ch(gamma)
     if mode == "train":
         # Batch statistics depend on x, so their gradients feed back in.
         mean_g = gxhat.mean(axis=_BN_AXES)
@@ -491,16 +478,14 @@ def batchnorm3d_backward(cache, grad_out):
 # ---------------------------------------------------------------------------
 
 def relu(x):
-    x = as_nd(x)
     return np.maximum(x, 0)
 
 
 def relu_backward(x, grad_out):
-    return as_nd(grad_out) * (as_nd(x) > 0)
+    return grad_out * (x > 0)
 
 
 def sigmoid(x):
-    x = as_nd(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -511,31 +496,26 @@ def sigmoid(x):
 
 def sigmoid_backward(y, grad_out):
     """Backward from the forward output y = sigmoid(x)."""
-    y = as_nd(y)
-    return as_nd(grad_out) * y * (1.0 - y)
+    return grad_out * y * (1.0 - y)
 
 
 def softmax_lastdim(scores):
     """Row-wise softmax over the last axis with max-subtraction."""
-    s = as_nd(scores)
-    if s.shape[-1] < 1:
+    if scores.shape[-1] < 1:
         raise ValueError("softmax needs at least one column")
-    shifted = s - s.max(axis=-1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_lastdim_backward(y, grad_out):
     """Backward from the forward output y = softmax(scores)."""
-    y = as_nd(y)
-    g = as_nd(grad_out)
-    dot = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - dot)
+    dot = (grad_out * y).sum(axis=-1, keepdims=True)
+    return y * (grad_out - dot)
 
 
 def dropout(x, rate: float, mode: str, rng):
     """Inverted dropout; returns (y, keep_mask). Eval mode is the identity."""
-    x = as_nd(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if mode == "eval" or rate == 0.0:
@@ -547,10 +527,9 @@ def dropout(x, rate: float, mode: str, rng):
 
 
 def dropout_backward(keep, rate: float, grad_out):
-    gy = as_nd(grad_out)
     if keep is None:
-        return gy
-    return gy * keep / (1.0 - rate)
+        return grad_out
+    return grad_out * keep / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -559,21 +538,17 @@ def dropout_backward(keep, rate: float, grad_out):
 
 def concat_channels(a, b) -> np.ndarray:
     """Concatenate along the channel axis; a's channels come first."""
-    a = as_nd(a)
-    b = as_nd(b)
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"batch/spatial mismatch: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=1)
 
 
 def concat_channels_backward(c_a: int, grad_out):
-    gy = as_nd(grad_out)
-    return gy[:, :c_a], gy[:, c_a:]
+    return grad_out[:, :c_a], grad_out[:, c_a:]
 
 
 def center_crop3d(x, target):
     """Spatially centered crop; odd margins drop the extra high-index voxel."""
-    x = as_nd(x)
     td, th, tw = _triple(target)
     B, C, D, H, W = x.shape
     if td > D or th > H or tw > W:
@@ -584,43 +559,37 @@ def center_crop3d(x, target):
 
 
 def center_crop3d_backward(in_shape, target, grad_out):
-    gy = as_nd(grad_out)
     td, th, tw = _triple(target)
     B, C, D, H, W = in_shape
     od, oh, ow = (D - td) // 2, (H - th) // 2, (W - tw) // 2
-    gx = np.zeros(in_shape, dtype=gy.dtype)
-    gx[:, :, od: od + td, oh: oh + th, ow: ow + tw] = gy
+    gx = np.zeros(in_shape, dtype=grad_out.dtype)
+    gx[:, :, od: od + td, oh: oh + th, ow: ow + tw] = grad_out
     return gx
 
 
 def pad3d(x, pad):
     """Zero-pad spatial axes; pad is ((lo, hi), (lo, hi), (lo, hi))."""
-    x = as_nd(x)
     (d0, d1), (h0, h1), (w0, w1) = pad
     return np.pad(x, ((0, 0), (0, 0), (d0, d1), (h0, h1), (w0, w1)))
 
 
 def pad3d_backward(pad, grad_out):
-    gy = as_nd(grad_out)
     (d0, d1), (h0, h1), (w0, w1) = pad
-    _, _, D, H, W = gy.shape
+    _, _, D, H, W = grad_out.shape
     return np.ascontiguousarray(
-        gy[:, :, d0: D - d1, h0: H - h1, w0: W - w1])
+        grad_out[:, :, d0: D - d1, h0: H - h1, w0: W - w1])
 
 
 def channel_scale(x, s):
     """Multiply x (B, C, D, H, W) by a one-channel map s (B, 1, D, H, W)."""
-    x = as_nd(x)
-    s = as_nd(s)
     if s.shape[1] != 1 or s.shape[0] != x.shape[0] or s.shape[2:] != x.shape[2:]:
         raise ValueError(f"scale map shape {s.shape} incompatible with {x.shape}")
     return x * s
 
 
 def channel_scale_backward(x, s, grad_out):
-    gy = as_nd(grad_out)
-    gx = gy * as_nd(s)
-    gs = (gy * as_nd(x)).sum(axis=1, keepdims=True)
+    gx = grad_out * s
+    gs = (grad_out * x).sum(axis=1, keepdims=True)
     return gx, gs
 
 
@@ -635,7 +604,6 @@ def unfold_windows(x, window) -> np.ndarray:
     index (d, h, w), N_w tokens per window ordered lexicographically by
     offset (d, h, w), channels last.
     """
-    x = as_nd(x)
     wd, wh, ww = _triple(window)
     B, C, D, H, W = x.shape
     if D % wd or H % wh or W % ww:
@@ -648,17 +616,16 @@ def unfold_windows(x, window) -> np.ndarray:
 
 def fold_windows(tokens, window, spatial) -> np.ndarray:
     """Exact inverse of unfold_windows."""
-    t = as_nd(tokens)
     wd, wh, ww = _triple(window)
     D, H, W = _triple(spatial)
     nd, nh, nw = D // wd, H // wh, W // ww
-    B, N, NW, C = t.shape
+    B, N, NW, C = tokens.shape
     if D % wd or H % wh or W % ww:
         raise ValueError(f"spatial dims {(D, H, W)} not divisible by window {(wd, wh, ww)}")
     if N != nd * nh * nw or NW != wd * wh * ww:
         raise ValueError(
             f"token tensor {(N, NW)} inconsistent with window {(wd, wh, ww)} "
             f"over {(D, H, W)}")
-    t = t.reshape(B, nd, nh, nw, wd, wh, ww, C)
+    t = tokens.reshape(B, nd, nh, nw, wd, wh, ww, C)
     t = t.transpose(0, 7, 1, 4, 2, 5, 3, 6)
     return np.ascontiguousarray(t.reshape(B, C, D, H, W))

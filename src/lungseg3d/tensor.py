@@ -55,6 +55,13 @@ class Tensor5:
         return Tensor5(self.data.astype(DTYPES[dtype]))
 
 
+def as_nd(x) -> np.ndarray:
+    """Accept a Tensor5 or ndarray and return the underlying ndarray."""
+    if isinstance(x, Tensor5):
+        return x.data
+    return np.asarray(x)
+
+
 def save_array(arr: np.ndarray, base_path: str) -> None:
     """Write `arr` as `<base>.raw` (little-endian) plus a `<base>.json` sidecar.
 

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour: exit codes, JSON echo, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lungseg3d
 from lungseg3d import gradcheck
 from lungseg3d.cli import main
 from lungseg3d.data import load_manifest, load_mhd, load_sample
@@ -41,6 +46,16 @@ def test_gradcheck_subcommand_reports_passes(capsys):
     assert echo["command"] == "gradcheck"
     reports = json.loads(out.split("\n", 1)[1])
     assert reports and all(r["pass"] for r in reports)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(lungseg3d.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "lungseg3d", "gradcheck",
+                          "--target", "relu"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[0])["command"] == "gradcheck"
 
 
 def test_gradcheck_non_finite_probe_is_one_line_error(monkeypatch, capsys):

@@ -5,10 +5,11 @@ import inspect
 import numpy as np
 import pytest
 
-from lungseg3d import autograd, losses
+from lungseg3d import autograd, losses, ops
 from lungseg3d.gradcheck import (ABS_FLOOR, BLOCK_TARGETS, CHECKS,
-                                 NETWORK_TARGETS, TAPE_OP_TARGETS,
-                                 all_targets, check_gradients, compare_grads,
+                                 NETWORK_TARGETS, NETWORKS, TABLE,
+                                 TAPE_OP_TARGETS, all_targets,
+                                 check_gradients, compare_grads,
                                  finite_diff_grad, oracle_selftest)
 
 # autograd module functions that build/drive the graph rather than
@@ -94,3 +95,42 @@ def test_block_checks_pass_at_seeds_with_relu_kinks(target, seed):
     reports = check_gradients(target, seed=seed)
     assert reports and all(r.passed for r in reports), \
         [(r.tensor, r.max_rel_err) for r in reports if not r.passed]
+
+
+def test_rng_tags_are_pairwise_distinct():
+    tags = [row.tag for row in TABLE] + [(t,) for _, t, _ in NETWORKS.values()]
+    assert len(set(tags)) == len(tags)
+    # a trailing zero word (within the 4-word pool) does not change a
+    # SeedSequence, so distinct tags can still share a stream: compare both
+    firsts = [np.random.default_rng([0, *t]).integers(2 ** 62) for t in tags]
+    assert len(set(firsts)) == len(firsts)
+
+
+def _flipped_weight_grad(orig):
+    def wrong(x, p, g):
+        gx, gw, gb = orig(x, p, g)
+        return gx, np.ascontiguousarray(gw[:, :, ::-1, ::-1, ::-1]), gb
+    return wrong
+
+
+def _no_batch_stat_feedback(orig):
+    def wrong(cache, g):
+        return orig(cache[:3] + ("eval",), g)
+    return wrong
+
+
+@pytest.mark.parametrize("kernel,wrap,target,failing", [
+    ("relu_backward", lambda orig: lambda x, g: g * (x < 0), "relu",
+     {("relu", "x")}),
+    ("conv3d_backward", _flipped_weight_grad, "conv3d",
+     {("conv3d[s1d1p1]", "weight"), ("conv3d[s2d2p2]", "weight")}),
+    ("batchnorm3d_backward", _no_batch_stat_feedback, "batchnorm3d",
+     {("batchnorm3d[train]", "x")}),
+], ids=["relu", "conv3d", "batchnorm3d"])
+def test_wrong_backward_is_reported(monkeypatch, kernel, wrap, target,
+                                    failing):
+    # negative control through the table runner: a broken kernel must fail
+    # exactly the tensors whose gradient it corrupts
+    monkeypatch.setattr(ops, kernel, wrap(getattr(ops, kernel)))
+    reports = check_gradients(target, seed=0)
+    assert {(r.op_name, r.tensor) for r in reports if not r.passed} == failing
