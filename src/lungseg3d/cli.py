@@ -71,6 +71,20 @@ def _int_list(text: str) -> list:
         raise UsageError(f"expected comma-separated ints, got {text!r}")
 
 
+def _is_int(v) -> bool:  # a bool is a Python int but never a number here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# RunConfig field type -> (test of a JSON value, what the error asks for)
+_CONFIG_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: v is None or isinstance(v, list)
+             and all(map(_is_int, v)), "a list of integers"),
+}
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
@@ -80,15 +94,21 @@ def _load_config(args) -> RunConfig:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path}: {exc}")
-        known = {f.name for f in fields(RunConfig)}
+        types = {f.name: f.type for f in fields(RunConfig)}
         for key, val in payload.items():
-            if key not in known:
+            if key not in types:
                 raise UsageError(f"config file {path}: unknown key {key!r}")
+            test, what = _CONFIG_TYPES[types[key]]
+            if not test(val):
+                raise UsageError(f"config file {path}: {key!r} must be "
+                                 f"{what}, got {json.dumps(val)}")
             setattr(cfg, key, val)
     for f in fields(RunConfig):
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
+    if cfg.seed < 0:
+        raise UsageError(f"'seed' must be non-negative, got {cfg.seed}")
     return cfg
 
 
@@ -323,8 +343,6 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        if cfg.seed is None:
-            cfg.seed = 0
         _echo(cfg, args.command)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:

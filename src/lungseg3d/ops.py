@@ -54,6 +54,13 @@ reads its phase slices in place, one GEMM per tap, exactly as above. The
 scatter adjoint does not stack: its destination is the phase buffers, and
 each tap writes a different slice of them.
 
+Small layers skip all of the above: when the B*T*C*L-element stack of all T
+taps (C the weight's axis-1 channels) fits one core's 2 MiB L2, each loop is
+one GEMM against the free view w.reshape(O, C*T), whose column c*T + t meets
+the stack's row for channel c of tap t: forward view @ stack, weight gradient
+gy @ stack^T over the batch, input gradient view^T @ gy added into the phases
+tap by tap. Below that budget, T GEMMs and += passes cost more than the copy.
+
 tconv3d is the conv input gradient plus a bias; its input gradient is the
 conv forward, and its weight gradient is the conv weight gradient with x and
 grad_out swapped.
@@ -188,9 +195,9 @@ def _cached_tap_plan(kernel, stride, dilation, padding, spatial) -> _TapPlan:
 
 def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
     """Pad x once; return the flat (B, C, Md*Mh*Mw) phase buffers taps read."""
-    xq = np.pad(x, [(0, 0), (0, 0)] + [
-        (p, m * s - n - p) for n, p, s, m in
-        zip(x.shape[2:], spec.padding, spec.stride, plan.M)])
+    xq = np.zeros(x.shape[:2] + tuple(np.multiply(plan.M, spec.stride)),
+                  dtype=x.dtype)
+    xq[(..., *map(slice, spec.padding, np.add(spec.padding, x.shape[2:])))] = x
     sd, sh, sw = spec.stride
     return {r: np.ascontiguousarray(xq[:, :, r[0]::sd, r[1]::sh, r[2]::sw])
             .reshape(x.shape[:2] + (-1,)) for r in {r for _, r, _ in plan.taps}}
@@ -218,6 +225,19 @@ def _block_cols(acc_rows: int, in_rows: int, itemsize: int) -> int:
     return 1024 * max(4, (512 << 10) // (1024 * col_bytes))
 
 
+def _one_gemm(B: int, T: int, C: int, L: int, itemsize: int) -> bool:
+    """Whether a layer is small: its tap stack fits one core's 2 MiB L2."""
+    return B * T * C * L * itemsize <= 2 << 20
+
+
+def _stack(xph: dict, plan: _TapPlan) -> np.ndarray:
+    """Row c*T + t of this (B, C*T, L) stack is channel c of tap t's slice;
+    a single tap's slice is read in place."""
+    sl = [xph[r][..., off: off + plan.L] for _, r, off in plan.taps]
+    return sl[0] if len(sl) == 1 else np.stack(sl, axis=2).reshape(
+        sl[0].shape[0], -1, plan.L)
+
+
 def _tap_group(C: int, O: int) -> int:
     """Taps per GEMM of the forward shift-GEMM, for C input and O output
     channels per tap.
@@ -233,9 +253,12 @@ def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
     """Conv without bias: pitched y = sum_t W_t @ x_phase[off_t: off_t + L]."""
     (B, C, _), O, L = next(iter(xph.values())).shape, w.shape[0], plan.L
     (od, oh, ow), (_, Mh, Mw) = plan.out, plan.M
+    yp = np.empty((B, O, od * Mh * Mw), dtype=dtype)
+    if _one_gemm(B, len(plan.taps), C, L, yp.itemsize):
+        np.matmul(w.reshape(O, -1), _stack(xph, plan), out=yp[..., :L])
+        return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
     wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
     g = _tap_group(C, O)
-    yp = np.empty((B, O, od * Mh * Mw), dtype=dtype)
     nb = min(L, _block_cols(B * O, B * g * C, yp.itemsize))
     # The scratch is one (B, O, nb) block, but it is carved from a buffer of
     # the unblocked loop's (B, O, L) size; the untouched rest never becomes
@@ -277,20 +300,25 @@ def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
 def _scatter_gemm(gyp, w, spec: ConvSpec, plan: _TapPlan, spatial, dtype):
     """Adjoint of _shift_gemm: W_t^T @ gy into the phases, re-interleaved."""
     B, (O, C), L, M, s = gyp.shape[0], w.shape[:2], plan.L, plan.M, spec.stride
-    wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
-    N = M[0] * M[1] * M[2]
+    T, N = len(plan.taps), M[0] * M[1] * M[2]
     g = np.zeros(s + (B, C, N), dtype=dtype)
-    nb = min(N, _block_cols(B * C, B * O, g.itemsize))
-    nt = min(nb, L)
-    tmp = np.empty((B, C, nt), dtype=dtype)
-    taps = [(wt[k].T, g[r], off) for k, r, off in plan.taps]
-    for a in range(0, N, nb):
-        for wk, gr, off in taps:
-            lo, hi = max(a, off), min(a + nb, off + L)
-            if lo < hi:
-                t = tmp if hi - lo == nt else tmp[..., :hi - lo]
-                d = gr[..., lo:hi]
-                d += np.matmul(wk, gyp[..., lo - off: hi - off], out=t)
+    if _one_gemm(B, T, C, L, g.itemsize):
+        gs = np.matmul(w.reshape(O, C * T).T, gyp).reshape(B, C, T, L)
+        for t, (_, r, off) in enumerate(plan.taps):
+            g[r][..., off: off + L] += gs[:, :, t]
+    else:
+        wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
+        nb = min(N, _block_cols(B * C, B * O, g.itemsize))
+        nt = min(nb, L)
+        tmp = np.empty((B, C, nt), dtype=dtype)
+        taps = [(wt[k].T, g[r], off) for k, r, off in plan.taps]
+        for a in range(0, N, nb):
+            for wk, gr, off in taps:
+                lo, hi = max(a, off), min(a + nb, off + L)
+                if lo < hi:
+                    t = tmp if hi - lo == nt else tmp[..., :hi - lo]
+                    d = gr[..., lo:hi]
+                    d += np.matmul(wk, gyp[..., lo - off: hi - off], out=t)
     g = g.reshape(s + (B, C) + M).transpose(3, 4, 5, 0, 6, 1, 7, 2).reshape(
         (B, C) + tuple(m * t for m, t in zip(M, s)))
     return g[(..., *(slice(p, p + n) for p, n in zip(spec.padding, spatial)))]
@@ -299,6 +327,9 @@ def _scatter_gemm(gyp, w, spec: ConvSpec, plan: _TapPlan, spatial, dtype):
 def _weight_gemm(gyp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
     """gw_t = gy @ x_phase[off_t: off_t + L]^T, summed over the batch."""
     (B, O, L), C = gyp.shape, w.shape[1]
+    if _one_gemm(B, len(plan.taps), C, L, gyp.itemsize):
+        st = _stack(xph, plan).transpose(0, 2, 1)
+        return np.matmul(gyp, st).sum(axis=0, dtype=w.dtype).reshape(w.shape)
     acc = np.zeros((len(plan.taps), O, C), dtype=w.dtype)
     tmp = np.empty((O, C), dtype=gyp.dtype)
     nb = min(L, _block_cols(B * O, B * C, gyp.itemsize))

@@ -3,7 +3,8 @@
 Each test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 values before asserting, so a failing run shows exactly which bound broke.
 The two training criteria (6 and 7) and the full-size forward (9) dominate
-the runtime; the whole module is sized for a desktop CPU.
+the runtime and are marked ``slow``; the whole module is sized for a
+desktop CPU.
 """
 
 import math
@@ -11,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from lungseg3d import gradcheck
 from lungseg3d.autograd import Var, no_grad
@@ -227,6 +229,7 @@ def _overfit(kind, config, sample, seed, max_steps=300, probe_every=25):
     return max_steps, seg_metrics(pred, sample.mask).dice_score, losses
 
 
+@pytest.mark.slow
 def test_criterion_06_overfit_single_phantom():
     t0 = time.monotonic()
     runs = {}
@@ -260,6 +263,7 @@ def test_criterion_06_overfit_single_phantom():
 # 7. desk-scale generalization smoke
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_generalization_smoke(tmp_path):
     samples = tmp_path / "samples"
     ids = []
@@ -329,6 +333,7 @@ def test_criterion_08_pipeline_exactness(tmp_path):
 # 9. shape contracts at full scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_shape_contracts():
     rng = np.random.default_rng([9, 0xACC])
     results = []

@@ -115,6 +115,57 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(notjson)]) == 1
 
 
+BAD_CONFIG_VALUES = [("lr", "0.1"), ("threshold", "0.5"),
+                     ("dropout_rate", "0.1"), ("lr", True), ("seed", 1.5),
+                     ("seed", True), ("seed", -1), ("seed", None),
+                     ("epochs", "1"), ("epochs", 1.0), ("net", 1),
+                     ("sample_dir", ["a"]), ("stage_channels", "2,4,8,16"),
+                     ("stage_channels", [2, 4.0, 8, 16]),
+                     ("input_geometry", [1, 32, 32, True])]
+
+
+@pytest.fixture(scope="module")
+def tiny_split(tmp_path_factory):
+    """Two 32^3 nodule phantoms and a manifest that trains on one."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert main(["phantom-gen", "--kind", "nodule", "--count", "2",
+                 "--dims", "32,32,32", "--out", str(root)]) == 0
+    man = root / "split.json"
+    man.write_text(json.dumps({"train": ["nodule-0000"],
+                               "val": ["nodule-0001"], "test": [],
+                               "seed": 0}))
+    return root, man
+
+
+@pytest.mark.parametrize("key,val", BAD_CONFIG_VALUES,
+                         ids=[f"{k}={json.dumps(v)}"
+                              for k, v in BAD_CONFIG_VALUES])
+def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys,
+                                                      tiny_split, key, val):
+    """A config value of the wrong type stops the command before any work,
+    with one error line naming the key."""
+    samples, man = tiny_split
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: val}))
+    capsys.readouterr()
+    assert main(["train", "--net", "nodule", "--manifest", str(man),
+                 "--sample-dir", str(samples), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--config", str(cfg), *MICRO_FLAGS]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert repr(key) in err[0], err[0]
+    assert not captured.out
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_flag_is_one_line_error(capsys):
+    assert main(["gradcheck", "--target", "relu", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: 'seed' must be non-negative, got -1\n"
+
+
 def test_missing_checkpoint_directory_is_io_error(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
                  "--manifest", str(tmp_path / "m.json"),

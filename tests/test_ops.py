@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lungseg3d import ops
 from lungseg3d.ops import (BatchNormState, ConvSpec, LayerParams, batchnorm3d,
                            batchnorm3d_backward, center_crop3d,
                            center_crop3d_backward, channel_scale,
@@ -13,7 +14,7 @@ from lungseg3d.ops import (BatchNormState, ConvSpec, LayerParams, batchnorm3d,
                            pad3d, pad3d_backward, relu, relu_backward,
                            sigmoid, sigmoid_backward, softmax_lastdim,
                            softmax_lastdim_backward, tconv3d, tconv3d_backward,
-                           unfold_windows, _block_cols, _tap_group,
+                           unfold_windows, _block_cols, _phases, _tap_group,
                            _tap_plan)
 
 
@@ -218,6 +219,30 @@ CONV_TABLE = [
      np.float64, False),
     ("tconv-out1-blocks-f32", "tconv", 2, 1, 3, 1, 1, 1, 1, (12, 70, 80),
      np.float32, False),
+    # "-small" rows take the one-GEMM path in all three loops
+    # (test_conv_one_gemm_path_is_taken_by_small_rows_only)
+    ("s1-small", "conv", 3, 4, 3, 1, 1, 1, 1, (5, 6, 7), np.float64, False),
+    ("s1-small-f32", "conv", 3, 4, 3, 1, 1, 1, 1, (5, 6, 7), np.float32,
+     False),
+    ("lung-encoder-small", "conv", 2, 3, 3, 2, 2, 2, 2, (8, 9, 7),
+     np.float64, True),
+    ("lung-encoder-small-f32", "conv", 2, 3, 3, 2, 2, 2, 2, (8, 9, 7),
+     np.float32, True),
+    ("c1-small", "conv", 1, 3, 3, 1, 2, 2, 1, (6, 7, 8), np.float64, False),
+    ("c1-small-f32", "conv", 1, 3, 3, 1, 2, 2, 1, (6, 7, 8), np.float32,
+     False),
+    ("c6-small", "conv", 6, 5, 3, 1, 1, 1, 2, (4, 5, 6), np.float64, False),
+    ("c6-small-f32", "conv", 6, 5, 3, 1, 1, 1, 2, (4, 5, 6), np.float32,
+     False),
+    # one tap: the stack is the phase slice, read in place
+    ("proj-1x1x1-small", "conv", 4, 2, 1, 1, 1, 0, 1, (4, 5, 6),
+     np.float64, False),
+    ("proj-1x1x1-small-f32", "conv", 4, 2, 1, 1, 1, 0, 1, (4, 5, 6),
+     np.float32, False),
+    ("up-2x2x2-s2-small", "tconv", 3, 2, 2, 2, 1, 0, 2, (2, 2, 2),
+     np.float64, False),
+    ("up-2x2x2-s2-small-f32", "tconv", 3, 2, 2, 2, 1, 0, 2, (2, 2, 2),
+     np.float32, False),
 ]
 
 
@@ -252,8 +277,8 @@ def _direct_sum(kind, spec, x, w, b, gy):
     return y + b[None, :, None, None, None], gx, gw, gy.sum(axis=(0, 2, 3, 4)), read
 
 
-@pytest.mark.parametrize("row", CONV_TABLE, ids=[r[0] for r in CONV_TABLE])
-def test_conv_family_matches_direct_sum(row):
+def _row_case(row):
+    """(forward, backward, x, params, grad_out) of one CONV_TABLE row."""
     label, kind, ci, co, k, s, d, pad, batch, dims, dtype, unread = row
     spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
     rng = np.random.default_rng([7, CONV_TABLE.index(row)])
@@ -267,7 +292,14 @@ def test_conv_family_matches_direct_sum(row):
     p = LayerParams(rng.standard_normal(w_shape).astype(dtype),
                     rng.standard_normal(co).astype(dtype), spec)
     gy = rng.standard_normal((batch, co) + out).astype(dtype)
+    return fwd, bwd, x, p, gy
 
+
+@pytest.mark.parametrize("row", CONV_TABLE, ids=[r[0] for r in CONV_TABLE])
+def test_conv_family_matches_direct_sum(row):
+    label, kind, *_, dtype, unread = row
+    fwd, bwd, x, p, gy = _row_case(row)
+    spec = p.spec
     got = (fwd(x, p),) + tuple(bwd(x, p, gy))
     # a second call on the same input gives the same bytes
     again = (fwd(x, p),) + tuple(bwd(x, p, gy))
@@ -309,6 +341,65 @@ def test_conv_block_rows_span_three_blocks(row):
                            (plan.L, shift_rows, scatter_rows)):
         nb = _block_cols(batch * acc, batch * inp, size)
         assert cols > 2 * nb and cols % nb, (label, cols, nb)
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in CONV_TABLE if "-small" in r[0] or "-blocks" in r[0]],
+    ids=lambda r: r[0])
+def test_conv_one_gemm_path_is_taken_by_small_rows_only(row, monkeypatch):
+    """The forward and both backward loops of a "-small" row each decide for
+    the one-GEMM path and run one GEMM; no "-blocks" row takes it."""
+    fwd, bwd, x, p, gy = _row_case(row)
+    rule, real_rule = [], ops._one_gemm
+    gemms, real_matmul = [], np.matmul
+
+    def spy_rule(*args):
+        rule.append(real_rule(*args))
+        return rule[-1]
+
+    def spy_matmul(*args, **kwargs):
+        gemms.append(args[0].shape)
+        return real_matmul(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "_one_gemm", spy_rule)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    fwd(x, p)
+    bwd(x, p, gy)
+    monkeypatch.undo()
+    small = "-small" in row[0]
+    assert rule == [small] * 3, rule
+    assert (len(gemms) == 3) == small, gemms
+
+
+def test_phases_match_np_pad_byte_for_byte():
+    """The phase buffers are those of np.pad followed by strided copies, over
+    strides 1-2, paddings 0-2 and odd and even extents."""
+    rng = np.random.default_rng(19)
+    checked = 0
+    for stride in ((1, 1, 1), (2, 2, 2), (1, 2, 2), (2, 1, 2)):
+        for pad in ((0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 2)):
+            for dims in ((5, 6, 7), (4, 8, 6), (7, 3, 4)):
+                for dtype in (np.float64, np.float32):
+                    spec = ConvSpec(2, 1, kernel=3, stride=stride,
+                                    padding=pad)
+                    plan = _tap_plan(spec, dims)
+                    if min(plan.out) < 1:
+                        continue
+                    x = rng.standard_normal((2, 2) + dims).astype(dtype)
+                    xq = np.pad(x, [(0, 0), (0, 0)] + [
+                        (p, m * s - n - p) for n, p, s, m in
+                        zip(dims, pad, stride, plan.M)])
+                    sd, sh, sw = stride
+                    got = _phases(x, spec, plan)
+                    assert len(got) == sd * sh * sw
+                    for r, ph in got.items():
+                        want = np.ascontiguousarray(
+                            xq[:, :, r[0]::sd, r[1]::sh, r[2]::sw])
+                        assert ph.dtype == dtype
+                        assert ph.shape == (2, 2, want[0, 0].size)
+                        assert ph.tobytes() == want.tobytes(), (stride, pad)
+                    checked += 1
+    assert checked >= 80
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from lungseg3d.data import (SplitManifest, load_sample, make_phantom,
 from lungseg3d.networks import NetworkConfig, build_network
 from lungseg3d.train import (LOG_HEADER, AdamState, NonFiniteError,
                              TrainState, adam_step, evaluate, load_checkpoint,
-                             save_checkpoint, train, train_step, _epoch_order)
+                             save_checkpoint, train, train_step, _ADAM_CHUNK,
+                             _epoch_order)
 from lungseg3d.tensor import load_array, save_array
 
 MICRO = [2, 4, 8, 16]
@@ -84,19 +85,18 @@ def test_adam_validates_inputs():
         adam_step([p], [np.zeros(3)], AdamState())
 
 
-def test_adam_f32_bytes_match_the_expressions():
-    """The in-place update gives the bytes of the plain expressions, for f32
-    parameters of rank 5, 1 and 0."""
+def _adam_bytes_match_the_expressions(shapes, steps):
+    """Adam on f32 parameters of the given shapes gives, step by step, the
+    bytes of the plain expressions, in the parameters and both moments."""
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     rng = np.random.default_rng(11)
-    shapes = [(8, 4, 3, 3, 3), (5,), ()]
     params = [Var(rng.standard_normal(s).astype(np.float32), name=f"p{i}")
               for i, s in enumerate(shapes)]
     ref_p = [v.data.copy() for v in params]
     ref_m = [np.zeros(s, np.float32) for s in shapes]
     ref_v = [np.zeros(s, np.float32) for s in shapes]
     st = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
-    for t in range(1, 6):
+    for t in range(1, steps + 1):
         grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
         adam_step(params, grads, st)
         for p, m, v, g in zip(ref_p, ref_m, ref_v, grads):
@@ -110,6 +110,26 @@ def test_adam_f32_bytes_match_the_expressions():
             assert var.data.tobytes() == p.tobytes(), (t, var.name)
             assert st.m[var.name].tobytes() == m.tobytes(), (t, var.name)
             assert st.v[var.name].tobytes() == v.tobytes(), (t, var.name)
+
+
+def test_adam_f32_bytes_match_the_expressions():
+    """The in-place update gives the bytes of the plain expressions, for f32
+    parameters of rank 5, 1 and 0."""
+    _adam_bytes_match_the_expressions([(8, 4, 3, 3, 3), (5,), ()], steps=5)
+
+
+def test_adam_chunks_match_the_expressions():
+    """A parameter of more than two chunks, the last one partial, updates
+    chunk by chunk to the bytes of the whole-array expressions."""
+    big = (2, 1, _ADAM_CHUNK + 7)
+    assert np.prod(big) > 2 * _ADAM_CHUNK and np.prod(big) % _ADAM_CHUNK
+    _adam_bytes_match_the_expressions([big, ()], steps=3)
+
+
+def test_adam_rejects_a_non_contiguous_parameter():
+    p = Var(np.zeros((4, 4))[:, ::2], name="w")
+    with pytest.raises(ValueError, match="'w'"):
+        adam_step([p], [np.zeros((4, 2))], AdamState())
 
 
 def test_adam_state_keyed_by_name_across_rebuilds():
