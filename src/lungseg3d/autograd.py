@@ -1,9 +1,12 @@
 """Reverse-mode autodiff over the 3D kernels in ops.
 
-A Var wraps an ndarray plus the closure that routes its upstream gradient to
-its parents. Calling backward() on a scalar-producing graph runs the closures
-in reverse topological order and accumulates into Var.grad. Parameters are
-long-lived leaf Vars whose .data the optimizer updates in place.
+A Var wraps an ndarray plus a backward closure. The closure is a pure
+function of the output gradient: it returns its parents' gradients as a tuple
+in parent order, or a one-parent node's gradient as a bare array, and writes
+nothing. Calling backward() on a scalar-producing graph runs the closures in
+reverse topological order; run_backward is the only place that adds a
+gradient into Var.grad. Parameters are long-lived leaf Vars whose .data the
+optimizer updates in place.
 
 Inside a no_grad() block ops return detached Vars, so large inference
 forwards do not retain intermediate buffers.
@@ -81,7 +84,11 @@ def accumulate(v: Var, g: np.ndarray):
 
 
 def from_op(out_data, parents, backward) -> Var:
-    """Build a graph node, or a detached Var when recording is off."""
+    """Build a graph node, or a detached Var when recording is off.
+
+    backward(grad_out) returns the gradients of parents, a tuple in parent
+    order or a bare array for one parent; run_backward adds them in.
+    """
     if not _grad_enabled:
         return Var(out_data)
     return Var(out_data, parents, backward)
@@ -115,7 +122,12 @@ def run_backward(root: Var, seed=None):
     accumulate(root, seed)
     for v in reversed(topo):
         if v._backward is not None and v.grad is not None:
-            v._backward(v.grad)
+            grads = v._backward(v.grad)
+            if not isinstance(grads, tuple):
+                grads = (grads,)
+            for p, g in zip(v._parents, grads, strict=True):
+                accumulate(p, g)
+            grads = g = None  # free this node's gradients before the next runs
 
 
 def zero_grads(params):
@@ -124,103 +136,56 @@ def zero_grads(params):
 
 
 # ---------------------------------------------------------------------------
-# Recorded ops. Each pairs a kernel call with its gradient routing.
+# Recorded ops. Each pairs a kernel call with a closure that maps the output
+# gradient to its parents' gradients.
 # ---------------------------------------------------------------------------
 
 def conv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
     xd = x.data
     p = LayerParams(w.data, b.data, spec)
-    y = ops.conv3d(xd, p)
-
-    def bw(g):
-        gx, gw, gb = ops.conv3d_backward(xd, p, g)
-        accumulate(x, gx)
-        accumulate(w, gw)
-        accumulate(b, gb)
-
-    return from_op(y, (x, w, b), bw)
+    return from_op(ops.conv3d(xd, p), (x, w, b),
+                   lambda g: ops.conv3d_backward(xd, p, g))
 
 
 def tconv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
     xd = x.data
     p = LayerParams(w.data, b.data, spec)
-    y = ops.tconv3d(xd, p)
-
-    def bw(g):
-        gx, gw, gb = ops.tconv3d_backward(xd, p, g)
-        accumulate(x, gx)
-        accumulate(w, gw)
-        accumulate(b, gb)
-
-    return from_op(y, (x, w, b), bw)
+    return from_op(ops.tconv3d(xd, p), (x, w, b),
+                   lambda g: ops.tconv3d_backward(xd, p, g))
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, bn: BatchNormState, mode: str) -> Var:
     y, cache = ops.batchnorm3d(x.data, gamma.data, beta.data, bn, mode)
-
-    def bw(g):
-        gx, dgamma, dbeta = ops.batchnorm3d_backward(cache, g)
-        accumulate(x, gx)
-        accumulate(gamma, dgamma)
-        accumulate(beta, dbeta)
-
-    return from_op(y, (x, gamma, beta), bw)
+    return from_op(y, (x, gamma, beta),
+                   lambda g: ops.batchnorm3d_backward(cache, g))
 
 
 def relu(x: Var) -> Var:
     xd = x.data
-    y = ops.relu(xd)
-
-    def bw(g):
-        accumulate(x, ops.relu_backward(xd, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(ops.relu(xd), (x,), lambda g: ops.relu_backward(xd, g))
 
 
 def sigmoid(x: Var) -> Var:
     y = ops.sigmoid(x.data)
-
-    def bw(g):
-        accumulate(x, ops.sigmoid_backward(y, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(y, (x,), lambda g: ops.sigmoid_backward(y, g))
 
 
 def maxpool(x: Var, window) -> Var:
     in_shape = x.data.shape
     y, idx = ops.maxpool3d(x.data, window)
-
-    def bw(g):
-        accumulate(x, ops.maxpool3d_backward(idx, in_shape, window, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(y, (x,),
+                   lambda g: ops.maxpool3d_backward(idx, in_shape, window, g))
 
 
 def dropout(x: Var, rate: float, mode: str, rng) -> Var:
     y, keep = ops.dropout(x.data, rate, mode, rng)
-    if keep is None and mode == "eval":
-        # Identity path still must flow gradient when recording.
-        def bw_id(g):
-            accumulate(x, g)
-
-        return from_op(y, (x,), bw_id)
-
-    def bw(g):
-        accumulate(x, ops.dropout_backward(keep, rate, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(y, (x,), lambda g: ops.dropout_backward(keep, rate, g))
 
 
 def concat(a: Var, b: Var) -> Var:
     ca = a.data.shape[1]
-    y = ops.concat_channels(a.data, b.data)
-
-    def bw(g):
-        ga, gb = ops.concat_channels_backward(ca, g)
-        accumulate(a, ga)
-        accumulate(b, gb)
-
-    return from_op(y, (a, b), bw)
+    return from_op(ops.concat_channels(a.data, b.data), (a, b),
+                   lambda g: ops.concat_channels_backward(ca, g))
 
 
 def slice_channels(x: Var, lo: int, hi: int) -> Var:
@@ -229,124 +194,73 @@ def slice_channels(x: Var, lo: int, hi: int) -> Var:
     def bw(g):
         gx = np.zeros_like(x.data)
         gx[:, lo:hi] = g
-        accumulate(x, gx)
+        return gx
 
     return from_op(y, (x,), bw)
 
 
 def center_crop(x: Var, target) -> Var:
     in_shape = x.data.shape
-    y = ops.center_crop3d(x.data, target)
-
-    def bw(g):
-        accumulate(x, ops.center_crop3d_backward(in_shape, target, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(ops.center_crop3d(x.data, target), (x,),
+                   lambda g: ops.center_crop3d_backward(in_shape, target, g))
 
 
 def pad(x: Var, spec) -> Var:
-    y = ops.pad3d(x.data, spec)
-
-    def bw(g):
-        accumulate(x, ops.pad3d_backward(spec, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(ops.pad3d(x.data, spec), (x,),
+                   lambda g: ops.pad3d_backward(spec, g))
 
 
 def add(a: Var, b: Var) -> Var:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    y = a.data + b.data
-
-    def bw(g):
-        accumulate(a, g)
-        accumulate(b, g)
-
-    return from_op(y, (a, b), bw)
+    return from_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale_by(x: Var, s: Var) -> Var:
     """Multiply a tensor by a learnable scalar (0-d or 1-element Var)."""
     sval = float(s.data)
     xd = x.data
-    y = xd * sval
-
-    def bw(g):
-        accumulate(x, g * sval)
-        accumulate(s, np.asarray((g * xd).sum(), dtype=s.data.dtype).reshape(s.data.shape))
-
-    return from_op(y, (x, s), bw)
+    return from_op(xd * sval, (x, s), lambda g: (
+        g * sval,
+        np.asarray((g * xd).sum(), dtype=s.data.dtype).reshape(s.data.shape)))
 
 
 def const_mul(x: Var, c: float) -> Var:
-    y = x.data * c
-
-    def bw(g):
-        accumulate(x, g * c)
-
-    return from_op(y, (x,), bw)
+    return from_op(x.data * c, (x,), lambda g: g * c)
 
 
 def channel_scale(x: Var, s: Var) -> Var:
     """Broadcast-multiply x (B, C, D, H, W) by a one-channel map s."""
     xd, sd = x.data, s.data
-    y = ops.channel_scale(xd, sd)
-
-    def bw(g):
-        gx, gs = ops.channel_scale_backward(xd, sd, g)
-        accumulate(x, gx)
-        accumulate(s, gs)
-
-    return from_op(y, (x, s), bw)
+    return from_op(ops.channel_scale(xd, sd), (x, s),
+                   lambda g: ops.channel_scale_backward(xd, sd, g))
 
 
 def softmax_lastdim(x: Var) -> Var:
     y = ops.softmax_lastdim(x.data)
-
-    def bw(g):
-        accumulate(x, ops.softmax_lastdim_backward(y, g))
-
-    return from_op(y, (x,), bw)
+    return from_op(y, (x,), lambda g: ops.softmax_lastdim_backward(y, g))
 
 
 def unfold(x: Var, window) -> Var:
     spatial = x.data.shape[2:]
-    y = ops.unfold_windows(x.data, window)
-
-    def bw(g):
-        accumulate(x, ops.fold_windows(g, window, spatial))
-
-    return from_op(y, (x,), bw)
+    return from_op(ops.unfold_windows(x.data, window), (x,),
+                   lambda g: ops.fold_windows(g, window, spatial))
 
 
 def fold(t: Var, window, spatial) -> Var:
-    y = ops.fold_windows(t.data, window, spatial)
-
-    def bw(g):
-        accumulate(t, ops.unfold_windows(g, window))
-
-    return from_op(y, (t,), bw)
+    return from_op(ops.fold_windows(t.data, window, spatial), (t,),
+                   lambda g: ops.unfold_windows(g, window))
 
 
 def matmul_qk(q: Var, k: Var) -> Var:
     """Token score matrix per window: (B,N,T,C) x (B,N,T,C) -> (B,N,T,T)."""
     qd, kd = q.data, k.data
-    y = qd @ kd.swapaxes(-1, -2)
-
-    def bw(g):
-        accumulate(q, g @ kd)
-        accumulate(k, g.swapaxes(-1, -2) @ qd)
-
-    return from_op(y, (q, k), bw)
+    return from_op(qd @ kd.swapaxes(-1, -2), (q, k),
+                   lambda g: (g @ kd, g.swapaxes(-1, -2) @ qd))
 
 
 def matmul_av(a: Var, v: Var) -> Var:
     """Mix token values with attention weights: (B,N,T,T) x (B,N,T,C)."""
     ad, vd = a.data, v.data
-    y = ad @ vd
-
-    def bw(g):
-        accumulate(a, g @ vd.swapaxes(-1, -2))
-        accumulate(v, ad.swapaxes(-1, -2) @ g)
-
-    return from_op(y, (a, v), bw)
+    return from_op(ad @ vd, (a, v),
+                   lambda g: (g @ vd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))

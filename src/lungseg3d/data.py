@@ -417,23 +417,36 @@ def load_manifest(path) -> SplitManifest:
 # End-to-end preprocessing chains
 # ---------------------------------------------------------------------------
 
-def preprocess_lung(image_mhd, mask_mhd, out_dir, sample_id: str,
-                    target=(300, 300), half_extent: int = 11,
-                    window=HU_WINDOW) -> Sample:
-    """MetaImage pair -> windowed, resized, median-cropped sample."""
+def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str, window,
+                     crop) -> Sample:
+    """Load a MetaImage pair, binarize the mask, cut both volumes with
+    crop(image, mask) -> (img, msk), window the image, save the sample."""
     image, meta = load_mhd(image_mhd)
     mask, _ = load_mhd(mask_mhd)
     if image.shape != mask.shape:
         raise ValueError(f"image shape {image.shape} != mask shape {mask.shape}")
-    img = resize_inplane(image, target, "linear")
-    msk = resize_inplane((as_nd(mask) > 0).astype(np.float32), target, "nearest")
-    img = crop_about_median(img, half_extent)
-    msk = crop_about_median(msk, half_extent)
+    # the binary mask replaces the raw one, which is freed before crop runs
+    mask = (as_nd(mask) > 0).astype(np.float32)
+    img, msk = crop(image, mask)
     img = window_intensity(img, *window).astype(np.float32)
     sample = Sample(image=Tensor5(img), mask=Tensor5(msk),
                     spacing=meta.spacing, origin=meta.origin, id=sample_id)
     save_sample(sample, out_dir)
     return sample
+
+
+def preprocess_lung(image_mhd, mask_mhd, out_dir, sample_id: str,
+                    target=(300, 300), half_extent: int = 11,
+                    window=HU_WINDOW) -> Sample:
+    """MetaImage pair -> windowed, resized, median-cropped sample."""
+    def crop(image, mask):
+        return (crop_about_median(resize_inplane(image, target, "linear"),
+                                  half_extent),
+                crop_about_median(resize_inplane(mask, target, "nearest"),
+                                  half_extent))
+
+    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, window,
+                            crop)
 
 
 def mask_centroid(mask) -> tuple:
@@ -449,17 +462,10 @@ def preprocess_nodule(image_mhd, mask_mhd, out_dir, sample_id: str,
                       center=None, size: int = 64,
                       window=HU_WINDOW) -> Sample:
     """MetaImage pair -> windowed fixed-size block around the nodule."""
-    image, meta = load_mhd(image_mhd)
-    mask, _ = load_mhd(mask_mhd)
-    if image.shape != mask.shape:
-        raise ValueError(f"image shape {image.shape} != mask shape {mask.shape}")
-    binmask = (as_nd(mask) > 0).astype(np.float32)
-    if center is None:
-        center = mask_centroid(binmask)
-    img, _ = crop_nodule_block(image, center, size)
-    msk, _ = crop_nodule_block(binmask, center, size)
-    img = window_intensity(img, *window).astype(np.float32)
-    sample = Sample(image=Tensor5(img), mask=Tensor5(msk),
-                    spacing=meta.spacing, origin=meta.origin, id=sample_id)
-    save_sample(sample, out_dir)
-    return sample
+    def crop(image, mask):
+        at = mask_centroid(mask) if center is None else center
+        return (crop_nodule_block(image, at, size)[0],
+                crop_nodule_block(mask, at, size)[0])
+
+    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, window,
+                            crop)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Var, accumulate, from_op, no_grad
+from .autograd import Var, from_op, no_grad
 from .tensor import as_nd
 
 CLAMP_EPS = 1e-7
@@ -63,7 +63,7 @@ def bce_term(p: Var, mask) -> Var:
         # The clamp makes the loss constant in p outside (eps, 1-eps).
         interior = (pd > CLAMP_EPS) & (pd < 1.0 - CLAMP_EPS)
         gp = (-(m / pc) + (1.0 - m) / (1.0 - pc)) / pd.size
-        accumulate(p, g * gp * interior)
+        return g * gp * interior
 
     return from_op(np.asarray(val), (p,), bw)
 
@@ -79,7 +79,7 @@ def dice_term(p: Var, mask) -> Var:
 
     def bw(g):
         gp = -2.0 * m / den + 2.0 * num * pd / (den * den)
-        accumulate(p, g * gp.astype(pd.dtype))
+        return g * gp.astype(pd.dtype)
 
     return from_op(np.asarray(val, dtype=pd.dtype), (p,), bw)
 
@@ -88,13 +88,7 @@ def combined_term(p: Var, mask) -> Var:
     """Sum of the two loss terms as a single tape scalar."""
     b = bce_term(p, mask)
     d = dice_term(p, mask)
-    val = b.data + d.data
-
-    def bw(g):
-        accumulate(b, g)
-        accumulate(d, g)
-
-    return from_op(val, (b, d), bw)
+    return from_op(b.data + d.data, (b, d), lambda g: (g, g))
 
 
 # ---------------------------------------------------------------------------

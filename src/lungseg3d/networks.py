@@ -274,10 +274,14 @@ def build_network(kind: str, config: NetworkConfig, seed: int,
     raise ValueError(f"unknown network kind {kind!r}")
 
 
-def predict_volume(net, volume, threshold: float = 0.5) -> Tensor5:
-    """Threshold the probability forward pass into a binary mask."""
+def check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
+
+
+def predict_volume(net, volume, threshold: float = 0.5) -> Tensor5:
+    """Threshold the probability forward pass into a binary mask."""
+    check_threshold(threshold)
     arr = volume.data if isinstance(volume, Tensor5) else np.asarray(volume)
     with ag.no_grad():
         prob = net.forward(Var(arr), "eval")

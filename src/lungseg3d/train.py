@@ -18,7 +18,8 @@ from . import autograd as ag
 from .autograd import Var
 from .data import SplitManifest, load_sample
 from .losses import SegMetrics, combined_term, seg_metrics
-from .networks import NetworkConfig, build_network, predict_volume
+from .networks import (NetworkConfig, build_network, check_threshold,
+                       predict_volume)
 from .tensor import load_array, save_array
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
@@ -272,6 +273,9 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
           seed: int = 0, threshold: float = 0.5,
           resume_from=None) -> TrainState:
     """Run the full loop; writes log.csv, best/ and last/ checkpoints."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    check_threshold(threshold)
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "log.csv")
 

@@ -48,7 +48,7 @@ def test_accumulate_never_writes_into_a_shared_gradient():
     b = Var(np.zeros(3, dtype=np.float32))
     y = ag.add(a, b)
     g = np.asarray([1.0, 2.0, 3.0], dtype=np.float32)
-    y._backward(g)
+    ag.run_backward(y, g)
     ag.accumulate(a, np.full(3, 10.0, dtype=np.float32))
     assert np.array_equal(b.grad, [1.0, 2.0, 3.0])
     assert np.array_equal(g, [1.0, 2.0, 3.0])
@@ -64,6 +64,18 @@ def test_accumulate_never_writes_into_a_shared_gradient():
     ag.accumulate(d, np.ones(3, dtype=np.float32))
     ag.accumulate(d, np.ones(3))
     assert d.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("backward", [lambda g: (g,), lambda g: g],
+                         ids=["one-tuple", "bare-array"])
+def test_closure_must_return_one_gradient_per_parent(backward):
+    # run_backward routes what a closure returns; a count that does not
+    # match the parents must fail, not leave a parent without gradient; a
+    # bare array is one gradient even when its first axis has two entries
+    a, b = Var(np.zeros(2)), Var(np.zeros(2))
+    y = ag.from_op(np.zeros(2), (a, b), backward)
+    with pytest.raises(ValueError):
+        ag.run_backward(y)
 
 
 def test_backward_seed_shape_checked():

@@ -159,6 +159,29 @@ def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--threshold", "1.5", "threshold 1.5 outside (0, 1)"),
+    ("--epochs", "-3", "epochs must be at least 1, got -3"),
+], ids=["threshold", "epochs"])
+def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
+                                                 flag, value, message):
+    """An out-of-range threshold or epoch count is refused before the run
+    directory exists, also when no validation volume would use the
+    threshold."""
+    samples, _ = tiny_split
+    man = tmp_path / "split.json"
+    man.write_text(json.dumps({"train": ["nodule-0000"], "val": [],
+                               "test": [], "seed": 0}))
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--net", "nodule", "--manifest", str(man),
+                 "--sample-dir", str(samples), "--out", str(run),
+                 "--epochs", "1", *MICRO_FLAGS, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not run.exists()
+
+
 def test_negative_seed_flag_is_one_line_error(capsys):
     assert main(["gradcheck", "--target", "relu", "--seed", "-1"]) == 1
     captured = capsys.readouterr()

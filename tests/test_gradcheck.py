@@ -14,7 +14,7 @@ from lungseg3d.gradcheck import (ABS_FLOOR, BLOCK_TARGETS, CHECKS,
 
 # autograd module functions that build/drive the graph rather than
 # differentiate anything, and so are exempt from the coverage gate
-_NON_DIFFERENTIABLE = {"accumulate", "from_op", "grad_on", "leaf",
+_NON_DIFFERENTIABLE = {"accumulate", "from_op", "grad_on",
                        "run_backward", "zero_grads"}
 
 
