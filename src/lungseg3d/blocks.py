@@ -2,7 +2,9 @@
 gate, windowed self-attention, and the plain double-conv block.
 
 Each block owns its parameters as autograd Vars and exposes forward methods
-taking and returning Vars. Parameter names are hierarchical dotted strings so
+taking and returning Vars. Layers, blocks and networks subclass `Module`, so
+a layer assigned in `__init__` is trained, checkpointed and gradchecked with
+no list to keep. Parameter names are hierarchical dotted strings so
 checkpoints can address every tensor individually. The same names key the
 `capture` hook, which reads layer and block outputs off an ordinary forward.
 
@@ -63,7 +65,30 @@ def fan_in_normal(rng, shape, c_in: int, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * std).astype(dtype)
 
 
-class Conv3d:
+def _walk(value, kind):
+    """Depth-first instances of `kind` in value, a Module's attributes in
+    assignment order, or a list or tuple; anything else holds none."""
+    if isinstance(value, kind):
+        yield value
+    elif isinstance(value, (Module, list, tuple)):
+        items = vars(value).values() if isinstance(value, Module) else value
+        for item in items:
+            yield from _walk(item, kind)
+
+
+class Module:
+    """Base of layers, blocks and networks: `params()` yields every Var and
+    `batchnorms()` every BatchNorm3d set as an attribute, directly or inside
+    a list, tuple or nested Module, in the order `__init__` set them."""
+
+    def params(self):
+        return _walk(self, Var)
+
+    def batchnorms(self):
+        return _walk(self, BatchNorm3d)
+
+
+class Conv3d(Module):
     """A conv3d layer owning weight/bias Vars."""
 
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
@@ -78,12 +103,8 @@ class Conv3d:
     def __call__(self, x: Var) -> Var:
         return _record(self.name, ag.conv(x, self.w, self.b, self.spec))
 
-    def params(self):
-        yield self.w
-        yield self.b
 
-
-class TConv3d:
+class TConv3d(Module):
     """A transposed conv3d layer owning weight/bias Vars."""
 
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
@@ -98,12 +119,8 @@ class TConv3d:
     def __call__(self, x: Var) -> Var:
         return _record(self.name, ag.tconv(x, self.w, self.b, self.spec))
 
-    def params(self):
-        yield self.w
-        yield self.b
 
-
-class BatchNorm3d:
+class BatchNorm3d(Module):
     """Batchnorm layer: learnable gain/offset Vars plus running stats."""
 
     def __init__(self, name: str, channels: int, dtype=np.float32,
@@ -120,17 +137,13 @@ class BatchNorm3d:
         return _record(self.name, ag.batchnorm(x, self.gamma, self.beta,
                                                self.state, mode))
 
-    def params(self):
-        yield self.gamma
-        yield self.beta
-
 
 def _dilated3(c_in, c_out, stride=1):
     return ConvSpec(c_in, c_out, kernel=(3, 3, 3), stride=stride,
                     dilation=(2, 2, 2), padding=(2, 2, 2))
 
 
-class ResidualBlock3d:
+class ResidualBlock3d(Module):
     """Two dilated 3x3x3 conv+BN layers with a ReLU between, added to a skip.
 
     The skip is the identity when shapes match, otherwise a strided 1x1x1
@@ -161,20 +174,8 @@ class ResidualBlock3d:
         s = self.skip(x) if self.skip is not None else x
         return _record(self.name, ag.relu(ag.add(s, f)))
 
-    def params(self):
-        yield from self.conv1.params()
-        yield from self.bn1.params()
-        yield from self.conv2.params()
-        yield from self.bn2.params()
-        if self.skip is not None:
-            yield from self.skip.params()
 
-    def batchnorms(self):
-        yield self.bn1
-        yield self.bn2
-
-
-class AttentionGate3d:
+class AttentionGate3d(Module):
     """Additive attention gate over an encoder feature and a coarser gating
     signal at half its spatial resolution.
 
@@ -211,16 +212,8 @@ class AttentionGate3d:
         return _record(self.name,
                        ag.channel_scale(self.input_proj(x_enc), z0))
 
-    def params(self):
-        for layer in (self.enc_proj, self.gate_proj, self.gate_up, self.mix,
-                      self.mask_head, self.input_proj):
-            yield from layer.params()
 
-    def batchnorms(self):
-        return iter(())
-
-
-class WindowAttention3d:
+class WindowAttention3d(Module):
     """Single-head self-attention inside non-overlapping windows, added back
     to the input through a learnable scalar that starts at zero.
 
@@ -253,16 +246,8 @@ class WindowAttention3d:
         return _record(self.name,
                        ag.add(x, ag.scale_by(self.proj(o), self.gamma)))
 
-    def params(self):
-        yield from self.qkv.params()
-        yield from self.proj.params()
-        yield self.gamma
 
-    def batchnorms(self):
-        return iter(())
-
-
-class DoubleConvBlock3d:
+class DoubleConvBlock3d(Module):
     """conv-BN-ReLU-dropout twice, no skip connection."""
 
     def __init__(self, name: str, c_in: int, c_out: int, dropout_rate: float,
@@ -283,13 +268,3 @@ class DoubleConvBlock3d:
         h = ag.relu(self.bn2(self.conv2(h), mode))
         return _record(self.name,
                        ag.dropout(h, self.dropout_rate, mode, rng))
-
-    def params(self):
-        yield from self.conv1.params()
-        yield from self.bn1.params()
-        yield from self.conv2.params()
-        yield from self.bn2.params()
-
-    def batchnorms(self):
-        yield self.bn1
-        yield self.bn2

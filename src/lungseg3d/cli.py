@@ -19,6 +19,7 @@ from . import data, gradcheck
 from .losses import export_heatmap
 from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
+from .tensor import read_json
 from .train import NonFiniteError, evaluate, load_checkpoint, train
 
 
@@ -89,11 +90,7 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path}: {exc}")
+        payload = read_json(path, "config file", {})
         types = {f.name: f.type for f in fields(RunConfig)}
         for key, val in payload.items():
             if key not in types:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor5, as_nd, load_array, save_array
+from .tensor import (INTEGER, STRING, Tensor5, as_nd, load_array, read_json,
+                     save_array)
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),
@@ -354,8 +355,10 @@ def save_sample(sample: Sample, out_dir) -> None:
 
 def load_sample(sample_dir, sample_id: str) -> Sample:
     base = os.path.join(str(sample_dir), sample_id)
-    with open(base + ".meta.json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
+    xyz = (lambda v: isinstance(v, list) and len(v) == 3 and all(
+        type(c) in (int, float) for c in v), "a list of 3 numbers")
+    meta = read_json(base + ".meta.json", "sample meta", {
+        "id": STRING, "spacing": xyz, "origin": xyz})
     image = Tensor5(load_array(base + ".image"))
     mask = Tensor5(load_array(base + ".mask"))
     return Sample(image=image, mask=mask, spacing=tuple(meta["spacing"]),
@@ -402,15 +405,12 @@ def save_manifest(manifest: SplitManifest, path) -> None:
 
 
 def load_manifest(path) -> SplitManifest:
-    with open(str(path), "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    try:
-        return SplitManifest(train=list(payload["train"]),
-                             val=list(payload["val"]),
-                             test=list(payload["test"]),
-                             seed=int(payload["seed"]))
-    except KeyError as exc:
-        raise ValueError(f"split manifest {path} has no key {exc}") from None
+    ids = (lambda v: isinstance(v, list) and all(
+        isinstance(i, str) for i in v), "a list of strings")
+    payload = read_json(str(path), "split manifest", {
+        "train": ids, "val": ids, "test": ids, "seed": INTEGER})
+    return SplitManifest(train=payload["train"], val=payload["val"],
+                         test=payload["test"], seed=payload["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Var
-from .blocks import (AttentionGate3d, Conv3d, DoubleConvBlock3d,
+from .blocks import (AttentionGate3d, Conv3d, DoubleConvBlock3d, Module,
                      ResidualBlock3d, TConv3d, WindowAttention3d)
 from .ops import ConvSpec
 from .tensor import Tensor5
@@ -84,12 +84,11 @@ def _pad_plan(spatial, multiple: int):
     return tuple(plan)
 
 
-class GatedResidualUNet3d:
+class GatedResidualUNet3d(Module):
     """Residual UNet with attention-gated skip connections."""
 
     def __init__(self, config: NetworkConfig, rng, dtype=np.float32):
         self.config = config
-        self.dtype = dtype
         c_in = config.input_geometry[0]
         c1, c2, c3, c4 = config.stage_channels
         cb = 2 * c4
@@ -108,22 +107,17 @@ class GatedResidualUNet3d:
             return Conv3d(name, ConvSpec(c, c, kernel=(3, 3, 3),
                                          padding=(1, 1, 1)), rng, dtype)
 
-        # Decoder stage i upsamples to the resolution of tap_i and gates that
-        # tap with the pre-upsample state. Taps run e3, e2, e1, padded input.
+        # Decoder stage i, an (up, mix, gate, dec) tuple, upsamples to the
+        # resolution of tap_i and gates that tap with the pre-upsample state.
+        # Taps run e3, e2, e1, padded input.
         tap_ch = (c3, c2, c1, c_in)
         gate_ch = (cb, c4, c3, c2)
         up_io = ((cb, c4), (c4, c3), (c3, c2), (c2, c1))
-        self.ups = []
-        self.mixes = []
-        self.gates = []
-        self.decs = []
-        for i, ((ui, uo), tc, gc) in enumerate(zip(up_io, tap_ch, gate_ch)):
-            stage = 4 - i
-            self.ups.append(up(f"up{stage}", ui, uo))
-            self.mixes.append(mix(f"mix{stage}", uo))
-            self.gates.append(AttentionGate3d(f"gate{stage}", tc, gc, rng, dtype))
-            self.decs.append(ResidualBlock3d(f"dec{stage}", tc + uo, uo, 1,
-                                             rng, dtype))
+        self.decoder = [
+            (up(f"up{s}", ui, uo), mix(f"mix{s}", uo),
+             AttentionGate3d(f"gate{s}", tc, gc, rng, dtype),
+             ResidualBlock3d(f"dec{s}", tc + uo, uo, 1, rng, dtype))
+            for s, (ui, uo), tc, gc in zip((4, 3, 2, 1), up_io, tap_ch, gate_ch)]
 
         self.head = Conv3d("head", ConvSpec(c1, 1, kernel=(3, 3, 3),
                                             padding=(1, 1, 1)), rng, dtype)
@@ -150,8 +144,7 @@ class GatedResidualUNet3d:
         e3 = self.enc3.forward(e2, mode)
         e4 = self.enc4.forward(e3, mode)
         state = self.bottleneck.forward(e4, mode)
-        for upl, mixl, gate, dec, tap in zip(self.ups, self.mixes, self.gates,
-                                             self.decs, (e3, e2, e1, xp)):
+        for (upl, mixl, gate, dec), tap in zip(self.decoder, (e3, e2, e1, xp)):
             d_i = mixl(upl(state))
             a_i = gate.forward(tap, state)
             state = dec.forward(ag.concat(a_i, d_i), mode)
@@ -162,34 +155,12 @@ class GatedResidualUNet3d:
         h = self.post2(self.post1(h))
         return ag.sigmoid(h)
 
-    def params(self):
-        for block in (self.enc1, self.enc2, self.enc3, self.enc4,
-                      self.bottleneck):
-            yield from block.params()
-        for upl, mixl, gate, dec in zip(self.ups, self.mixes, self.gates,
-                                        self.decs):
-            yield from upl.params()
-            yield from mixl.params()
-            yield from gate.params()
-            yield from dec.params()
-        yield from self.head.params()
-        yield from self.post1.params()
-        yield from self.post2.params()
 
-    def batchnorms(self):
-        for block in (self.enc1, self.enc2, self.enc3, self.enc4,
-                      self.bottleneck):
-            yield from block.batchnorms()
-        for dec in self.decs:
-            yield from dec.batchnorms()
-
-
-class WindowAttentionUNet3d:
+class WindowAttentionUNet3d(Module):
     """Plain UNet with windowed self-attention on the bottleneck."""
 
     def __init__(self, config: NetworkConfig, rng, dtype=np.float32):
         self.config = config
-        self.dtype = dtype
         c_in, d, h, w = config.input_geometry
         if d % DOWN_FACTOR or h % DOWN_FACTOR or w % DOWN_FACTOR:
             raise ValueError(f"input spatial {(d, h, w)} must be divisible "
@@ -216,14 +187,13 @@ class WindowAttentionUNet3d:
             return TConv3d(name, ConvSpec(ci, co, kernel=(2, 2, 2),
                                           stride=(2, 2, 2)), rng, dtype)
 
-        self.ups = [up("up4", nb, n4), up("up3", n4, n3),
-                    up("up2", n3, n2), up("up1", n2, n1)]
-        self.decs = [
-            DoubleConvBlock3d("dec4", 2 * n4, n4, rate, rng, dtype),
-            DoubleConvBlock3d("dec3", 2 * n3, n3, rate, rng, dtype),
-            DoubleConvBlock3d("dec2", 2 * n2, n2, rate, rng, dtype),
-            DoubleConvBlock3d("dec1", 2 * n1, n1, rate, rng, dtype),
-        ]
+        # Every up is built before every dec: the order of the RNG draws
+        # fixes the initial weights. The decoder pairs them by stage.
+        ups = [up("up4", nb, n4), up("up3", n4, n3),
+               up("up2", n3, n2), up("up1", n2, n1)]
+        self.decoder = list(zip(ups, [
+            DoubleConvBlock3d(f"dec{s}", 2 * n, n, rate, rng, dtype)
+            for s, n in ((4, n4), (3, n3), (2, n2), (1, n1))]))
         self.head = Conv3d("head", ConvSpec(n1, 1, kernel=(1, 1, 1)), rng,
                            dtype)
         self.head.b.data[...] = HEAD_BIAS_INIT
@@ -241,26 +211,9 @@ class WindowAttentionUNet3d:
             h = ag.maxpool(s, (2, 2, 2))
         h = self.bottleneck.forward(h, mode, rng)
         h = self.attn.forward(h)
-        for upl, dec, skip in zip(self.ups, self.decs, reversed(skips)):
+        for (upl, dec), skip in zip(self.decoder, reversed(skips)):
             h = dec.forward(ag.concat(skip, upl(h)), mode, rng)
         return ag.sigmoid(self.head(h))
-
-    def params(self):
-        for block in (self.enc1, self.enc2, self.enc3, self.enc4,
-                      self.bottleneck):
-            yield from block.params()
-        yield from self.attn.params()
-        for upl, dec in zip(self.ups, self.decs):
-            yield from upl.params()
-            yield from dec.params()
-        yield from self.head.params()
-
-    def batchnorms(self):
-        for block in (self.enc1, self.enc2, self.enc3, self.enc4,
-                      self.bottleneck):
-            yield from block.batchnorms()
-        for dec in self.decs:
-            yield from dec.batchnorms()
 
 
 def build_network(kind: str, config: NetworkConfig, seed: int,

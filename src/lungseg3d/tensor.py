@@ -80,25 +80,44 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
         json.dump(sidecar, f)
 
 
+# (test, expected) value checks for read_json
+STRING = (lambda v: isinstance(v, str), "a string")
+INTEGER = (lambda v: type(v) is int, "an integer")
+
+
+def read_json(path, what: str, keys) -> dict:
+    """The JSON object in file `path`, described as `what` in errors. `keys`
+    maps each required key to a (test, expected) pair its value must pass.
+    Anything else raises ValueError naming the path and the key."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} holds {json.dumps(obj)[:40]}, "
+                         f"expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} {path} has no key {key!r}")
+    for key, (test, expected) in keys.items():
+        if not test(obj[key]):
+            raise ValueError(f"{what} {path} has {key!r} {obj[key]!r}, "
+                             f"expected {expected}")
+    return obj
+
+
 def load_array(base_path: str) -> np.ndarray:
     """Read an array written by save_array."""
     path = base_path + ".json"
-    with open(path) as f:
-        sidecar = json.load(f)
-    try:
-        shape, name = sidecar["shape"], sidecar["dtype"]
-    except KeyError as exc:
-        raise ValueError(f"array sidecar {path} has no key {exc}") from None
-    if not isinstance(name, str):
-        raise ValueError(f"array sidecar {path} has 'dtype' {name!r}, "
-                         f"expected a string")
+    is_shape = lambda v: isinstance(v, list) and all(
+        type(s) is int and s >= 0 for s in v)
+    sidecar = read_json(path, "array sidecar", {
+        "shape": (is_shape, "a list of non-negative ints"),
+        "dtype": STRING})
+    shape, name = tuple(sidecar["shape"]), sidecar["dtype"]
     if name not in DTYPES:
         raise ValueError(f"array sidecar {path} has unknown dtype {name!r}")
-    if not isinstance(shape, list) or not all(
-            type(s) is int and s >= 0 for s in shape):
-        raise ValueError(f"array sidecar {path} has 'shape' {shape!r}, "
-                         f"expected a list of non-negative ints")
-    shape = tuple(shape)
     np_dtype = DTYPES[name]
     raw = np.fromfile(base_path + ".raw", dtype=np.dtype(np_dtype).newbyteorder("<"))
     expected = int(np.prod(shape)) if shape else 1

@@ -20,7 +20,7 @@ from .data import SplitManifest, load_sample
 from .losses import SegMetrics, combined_term, seg_metrics
 from .networks import (NetworkConfig, build_network, check_threshold,
                        predict_volume)
-from .tensor import load_array, save_array
+from .tensor import INTEGER, STRING, load_array, read_json, save_array
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
 _ADAM_CHUNK = 16384  # elements per cache-resident chunk of an Adam update
@@ -143,8 +143,11 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
 def load_checkpoint(ckpt_dir) -> TrainState:
     """Rebuild the network and optimizer state from a checkpoint directory."""
     path = os.path.join(ckpt_dir, "manifest.json")
-    with open(path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+    obj = (lambda v: isinstance(v, dict), "a JSON object")
+    manifest = read_json(path, "checkpoint manifest", {
+        "kind": STRING, "seed": INTEGER, "epoch": INTEGER,
+        "best_val_dice": (lambda v: type(v) in (int, float), "a number"),
+        "config": obj, "adam": obj, "tensors": obj})
     try:
         cfg, a = manifest["config"], manifest["adam"]
         config = NetworkConfig(stage_channels=cfg["stage_channels"],

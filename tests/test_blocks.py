@@ -84,6 +84,27 @@ def test_residual_block_projection_skip_on_channel_change():
     assert len(list(ResidualBlock3d("r", 3, 3, 1, _rng(7)).params())) == 8
 
 
+def test_residual_block_params_in_assignment_order():
+    names = [p.name for p in ResidualBlock3d("r", 2, 5, 1, _rng(6)).params()]
+    assert names == ["r.conv1.weight", "r.conv1.bias", "r.bn1.gamma",
+                     "r.bn1.beta", "r.conv2.weight", "r.conv2.bias",
+                     "r.bn2.gamma", "r.bn2.beta", "r.skip.weight",
+                     "r.skip.bias"]
+
+
+def test_layer_added_after_build_is_found():
+    """A layer set as a new attribute is trained and checkpointed with no
+    list to update: params() and batchnorms() find it by attribute."""
+    blk = ResidualBlock3d("r", 2, 2, 1, _rng(9))
+    blk.extra = Conv3d("r.extra", ConvSpec(2, 2, kernel=(1, 1, 1)), _rng(10))
+    blk.extra_bn = BatchNorm3d("r.extra_bn", 2)
+    names = [p.name for p in blk.params()]
+    assert names[-4:] == ["r.extra.weight", "r.extra.bias",
+                          "r.extra_bn.gamma", "r.extra_bn.beta"]
+    assert [bn.name for bn in blk.batchnorms()] == ["r.bn1", "r.bn2",
+                                                    "r.extra_bn"]
+
+
 def test_residual_block_dilated_geometry():
     blk = ResidualBlock3d("r", 1, 1, 1, _rng(8))
     for conv in (blk.conv1, blk.conv2):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import lungseg3d
 from lungseg3d import gradcheck
 from lungseg3d.cli import main
-from lungseg3d.data import load_manifest, load_mhd, load_sample
+from lungseg3d.data import (load_manifest, load_mhd, load_sample,
+                            make_phantom, save_sample)
 from lungseg3d.networks import NetworkConfig, build_network
 from lungseg3d.train import AdamState, TrainState, save_checkpoint
 
@@ -200,33 +202,46 @@ def test_train_requires_manifest(capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-# (manifest, path of the key removed from a valid one); "sidecar" is the
-# JSON sidecar of the checkpoint tensor head.weight
+# (file, path of the key removed from a valid one); "sidecar" is the JSON
+# sidecar of the checkpoint tensor head.weight, "meta" the .meta.json of the
+# sample that predict reads
 MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("split", ("seed",)),
              ("checkpoint", ("kind",)), ("checkpoint", ("seed",)),
              ("checkpoint", ("epoch",)), ("checkpoint", ("best_val_dice",)),
              ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
              ("checkpoint", ("config", "stage_channels")),
-             ("sidecar", ("shape",)), ("sidecar", ("dtype",))]
-# (sidecar key, label, the bad value made from the valid one)
-BAD_SIDECAR_VALUES = [
-    ("dtype", "list", lambda v: [v]),
-    ("shape", "str", lambda v: "x".join(str(n) for n in v)),
-    ("shape", "negative", lambda v: [-1] + v[1:]),
-    ("shape", "float", lambda v: [float(v[0])] + v[1:]),
+             ("sidecar", ("shape",)), ("sidecar", ("dtype",)),
+             ("meta", ("id",)), ("meta", ("spacing",)), ("meta", ("origin",))]
+# (file, key path, label, the bad value made from the valid one); an empty
+# key path replaces the whole file
+BAD_VALUES = [
+    ("sidecar", ("dtype",), "list", lambda v: [v]),
+    ("sidecar", ("shape",), "str", lambda v: "x".join(str(n) for n in v)),
+    ("sidecar", ("shape",), "negative", lambda v: [-1] + v[1:]),
+    ("sidecar", ("shape",), "float", lambda v: [float(v[0])] + v[1:]),
+    ("split", ("train",), "str", lambda v: "abc"),
+    ("split", ("train",), "int", lambda v: 5),
+    ("split", ("seed",), "str", lambda v: "0"),
+    ("checkpoint", ("seed",), "null", lambda v: None),
+    ("checkpoint", ("tensors",), "list", lambda v: [v]),
+    ("meta", ("spacing",), "int", lambda v: 1),
+    *[(w, (), "list", lambda v: [1])
+      for w in ("split", "checkpoint", "sidecar", "meta")],
 ]
 ROWS = ([(w, k, None, f"{w}-{'.'.join(k)}") for w, k in MALFORMED]
-        + [("sidecar", (k,), bad, f"sidecar-{k}-{label}")
-           for k, label, bad in BAD_SIDECAR_VALUES])
+        + [(w, k, bad, f"{w}-{'.'.join(k) or 'file'}-{label}")
+           for w, k, label, bad in BAD_VALUES])
 
 
 @pytest.mark.parametrize("which,key,bad", [r[:3] for r in ROWS],
                          ids=[r[3] for r in ROWS])
 def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
                                               bad):
-    """Each row removes a key, or replaces its value v by bad(v)."""
+    """Each row removes a key, or replaces its value v, or the whole file,
+    by bad(v)."""
     split = {"train": ["a"], "val": ["b"], "test": ["c"], "seed": 0}
+    save_sample(replace(make_phantom("nodule", 32, 0), id="a"), tmp_path)
     ckpt = tmp_path / "ckpt"
     config = NetworkConfig(stage_channels=[2, 4, 8, 16],
                            input_geometry=(1, 32, 32, 32))
@@ -235,12 +250,15 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
         adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
     split_path = tmp_path / "split.json"
     path = {"split": split_path, "checkpoint": ckpt / "manifest.json",
-            "sidecar": ckpt / "head.weight.json"}[which]
+            "sidecar": ckpt / "head.weight.json",
+            "meta": tmp_path / "a.meta.json"}[which]
     payload = split if which == "split" else json.loads(path.read_text())
     node = payload
     for k in key[:-1]:
         node = node[k]
-    if bad is None:
+    if not key:
+        payload = bad(payload)
+    elif bad is None:
         del node[key[-1]]
     else:
         node[key[-1]] = bad(node[key[-1]])
@@ -249,6 +267,10 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
         argv = ["train", "--net", "nodule", "--manifest", str(split_path),
                 "--sample-dir", str(tmp_path), "--out", str(tmp_path / "run"),
                 *MICRO_FLAGS]
+    elif which == "meta":
+        argv = ["predict", "--checkpoint", str(ckpt), "--id", "a",
+                "--sample-dir", str(tmp_path),
+                "--out", str(tmp_path / "pred.mhd")]
     else:
         split_path.write_text(json.dumps(split))
         argv = ["eval", "--checkpoint", str(ckpt), "--manifest",
@@ -256,7 +278,8 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert str(path) in err[0] and repr(key[-1]) in err[0], err[0]
+    named = repr(key[-1]) if key else "expected a JSON object"
+    assert str(path) in err[0] and named in err[0], err[0]
 
 
 def test_pipeline_train_eval_predict_heatmap(tmp_path, capsys):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lungseg3d import autograd as ag
+from lungseg3d import gradcheck
 from lungseg3d.autograd import Var
-from lungseg3d.blocks import capture
+from lungseg3d.blocks import (AttentionGate3d, DoubleConvBlock3d,
+                              ResidualBlock3d, WindowAttention3d, capture)
 from lungseg3d.networks import (NetworkConfig, build_network,
                                 lung_default_config, nodule_default_config,
                                 predict_volume)
@@ -176,6 +178,101 @@ def test_nodule_batchnorms_enumerated():
     # 5 double-conv encoder/bottleneck blocks + 4 decoder blocks, 2 BNs each
     assert len(bns) == 18
     assert len({bn.name for bn in bns}) == 18
+
+
+# ---------------------------------------------------------------------------
+# parameter and batchnorm enumeration
+# ---------------------------------------------------------------------------
+
+def _prefixes(names):
+    """First dotted component of each name, consecutive repeats merged."""
+    out = []
+    for name in names:
+        head = name.split(".")[0]
+        if not out or out[-1] != head:
+            out.append(head)
+    return out
+
+
+def _gc_net(kind):
+    """A network as the gradcheck builds it."""
+    config, _, _ = gradcheck.NETWORKS[kind]
+    return build_network(kind, config, 0, dtype=np.float64)
+
+
+ENCODER = ["enc1", "enc2", "enc3", "enc4", "bottleneck"]
+
+
+@pytest.mark.parametrize("kind,params,bns", [
+    ("lung",
+     ENCODER + [f"{layer}{s}" for s in (4, 3, 2, 1)
+                for layer in ("up", "mix", "gate", "dec")]
+     + ["head", "post1", "post2"],
+     ENCODER + ["dec4", "dec3", "dec2", "dec1"]),
+    ("nodule",
+     ENCODER + ["attn"] + [f"{layer}{s}" for s in (4, 3, 2, 1)
+                           for layer in ("up", "dec")] + ["head"],
+     ENCODER + ["dec4", "dec3", "dec2", "dec1"]),
+])
+def test_params_and_batchnorms_order_is_pinned(kind, params, bns):
+    """The network gradcheck samples params()[i], so this order decides
+    which coordinates it probes."""
+    net = _gc_net(kind)
+    assert _prefixes(p.name for p in net.params()) == params
+    assert _prefixes(bn.name for bn in net.batchnorms()) == bns
+
+
+def _tape_leaves(out):
+    """Named parentless Vars reachable from out through the tape."""
+    leaves, seen, stack = set(), set(), [out]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if not v._parents and v.name:
+            leaves.add(v)
+        stack.extend(v._parents)
+    return leaves
+
+
+def _x(*shape):
+    return Var(np.random.default_rng(0).standard_normal(shape))
+
+
+def _f64(cls, *args):
+    return cls(*args, rng=np.random.default_rng(4), dtype=np.float64)
+
+
+X = (1, 2, 4, 4, 4)
+# case -> (build the module, run a train-mode forward of it)
+TAPE_CASES = {
+    "residual": (lambda: _f64(ResidualBlock3d, "r", 2, 2, 1),
+                 lambda m: m.forward(_x(*X), "train")),
+    "residual_strided": (lambda: _f64(ResidualBlock3d, "r", 2, 3, 2),
+                         lambda m: m.forward(_x(*X), "train")),
+    "attention_gate": (lambda: _f64(AttentionGate3d, "g", 2, 3),
+                       lambda m: m.forward(_x(*X), _x(1, 3, 2, 2, 2))),
+    "window_attention": (lambda: _f64(WindowAttention3d, "a", 2, (2, 2, 2)),
+                         lambda m: m.forward(_x(*X))),
+    "double_conv": (lambda: _f64(DoubleConvBlock3d, "d", 2, 3, 0.5),
+                    lambda m: m.forward(_x(*X), "train",
+                                        np.random.default_rng(0))),
+    "lung_net": (lambda: _gc_net("lung"),
+                 lambda m: m.forward(_x(1, 1, 16, 16, 16), "train")),
+    "nodule_net": (lambda: _gc_net("nodule"),
+                   lambda m: m.forward(_x(1, 1, 16, 16, 16), "train")),
+}
+
+
+@pytest.mark.parametrize("case", TAPE_CASES)
+def test_tape_leaves_are_the_params(case):
+    """A train-mode forward reaches exactly the Vars params() yields: no
+    layer runs untrained, and none is trained without running. Found
+    through the tape, independently of how params() finds them."""
+    build, forward = TAPE_CASES[case]
+    module = build()
+    assert _tape_leaves(forward(module)) == set(module.params())
 
 
 # ---------------------------------------------------------------------------
