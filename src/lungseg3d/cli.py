@@ -19,7 +19,7 @@ from . import data, gradcheck
 from .losses import export_heatmap
 from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
-from .tensor import read_json
+from .tensor import INTEGER, INTEGERS, NUMBER, STRING, read_json
 from .train import NonFiniteError, evaluate, load_checkpoint, train
 
 
@@ -72,17 +72,11 @@ def _int_list(text: str) -> list:
         raise UsageError(f"expected comma-separated ints, got {text!r}")
 
 
-def _is_int(v) -> bool:  # a bool is a Python int but never a number here
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# RunConfig field type -> (test of a JSON value, what the error asks for)
+# RunConfig field type -> (test of a JSON value, what the error asks for);
+# a JSON true or false is never a number here
 _CONFIG_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "list": (lambda v: v is None or isinstance(v, list)
-             and all(map(_is_int, v)), "a list of integers"),
+    "int": INTEGER, "float": NUMBER, "str": STRING,
+    "list": (lambda v: v is None or INTEGERS[0](v), INTEGERS[1]),
 }
 
 
@@ -301,7 +295,7 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     state = load_checkpoint(cfg.checkpoint)
     sample = data.load_sample(cfg.sample_dir, args.sample_id)
     mask = predict_volume(state.net, sample.image, cfg.threshold)
-    data.write_mhd(args.out, mask, spacing=sample.spacing,
+    data.write_mhd(args.out, mask.data, spacing=sample.spacing,
                    origin=sample.origin, element_type="MET_UCHAR")
     print(json.dumps({"id": args.sample_id, "out": args.out,
                       "foreground_voxels": int(mask.data.sum())},

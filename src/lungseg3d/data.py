@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (INTEGER, STRING, Tensor5, as_nd, load_array, read_json,
-                     save_array)
+from .tensor import INTEGER, STRING, Tensor5, load_array, read_json, save_array
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),
@@ -131,12 +130,11 @@ def load_mhd(header_path):
     return Tensor5(vol[None, None]), meta
 
 
-def write_mhd(header_path, volume, spacing=(1.0, 1.0, 1.0),
+def write_mhd(header_path, arr: np.ndarray, spacing=(1.0, 1.0, 1.0),
               origin=(0.0, 0.0, 0.0), element_type: str = "MET_FLOAT"):
-    """Write a (1,1,D,H,W) volume as .mhd header plus .raw buffer."""
+    """Write a (1,1,D,H,W) array as .mhd header plus .raw buffer."""
     if element_type not in MET_TYPES:
         raise ValueError(f"unsupported ElementType {element_type}")
-    arr = as_nd(volume)
     if arr.ndim != 5 or arr.shape[0] != 1 or arr.shape[1] != 1:
         raise ValueError(f"expected shape (1,1,D,H,W), got {arr.shape}")
     d, h, w = arr.shape[2:]
@@ -172,13 +170,12 @@ def _half_pixel_coords(n_in: int, n_out: int) -> np.ndarray:
     return (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
 
 
-def resize_inplane(v, target, kind: str = "linear"):
+def resize_inplane(arr: np.ndarray, target, kind: str = "linear"):
     """Resize each axial slice to target (H', W').
 
     Images use bilinear interpolation with half-pixel centers; masks use
     nearest neighbor so values stay binary.
     """
-    arr = as_nd(v)
     th, tw = int(target[0]), int(target[1])
     if th < 1 or tw < 1:
         raise ValueError(f"resize target {(th, tw)} must be positive")
@@ -212,9 +209,8 @@ def resize_inplane(v, target, kind: str = "linear"):
     return np.ascontiguousarray(out)
 
 
-def crop_about_median(v, half_extent: int = 11):
+def crop_about_median(arr: np.ndarray, half_extent: int = 11):
     """Keep half_extent slices on each side of the median slice."""
-    arr = as_nd(v)
     D = arr.shape[2]
     need = 2 * half_extent + 1
     if D < need:
@@ -224,20 +220,16 @@ def crop_about_median(v, half_extent: int = 11):
     return np.ascontiguousarray(arr[:, :, lo: med + half_extent + 1])
 
 
-def crop_nodule_block(v, center_voxel, size: int = 64):
+def crop_nodule_block(arr: np.ndarray, center_voxel, size: int = 64):
     """Fixed-size block centered on a voxel, zero-padded at volume edges.
 
-    Returns (block, pad_record) where pad_record gives the (lo, hi) zero
-    padding applied per spatial axis. The source center voxel lands at block
-    index size//2 on each axis.
+    The source center voxel lands at block index size//2 on each axis.
     """
     if size < 1:
         raise ValueError(f"block size {size} must be positive")
-    arr = as_nd(v)
     B, C, D, H, W = arr.shape
     cd, ch, cw = (int(c) for c in center_voxel)
     out = np.zeros((B, C, size, size, size), dtype=arr.dtype)
-    pad_record = []
     src = []
     dst = []
     for c, n in ((cd, D), (ch, H), (cw, W)):
@@ -249,17 +241,16 @@ def crop_nodule_block(v, center_voxel, size: int = 64):
                              f"the volume")
         src.append((s_lo, s_hi))
         dst.append((s_lo - lo, s_hi - lo))
-        pad_record.append((max(0, -lo), max(0, hi - n)))
     out[:, :, dst[0][0]:dst[0][1], dst[1][0]:dst[1][1], dst[2][0]:dst[2][1]] = \
         arr[:, :, src[0][0]:src[0][1], src[1][0]:src[1][1], src[2][0]:src[2][1]]
-    return out, tuple(pad_record)
+    return out
 
 
-def window_intensity(v, lo: float = HU_WINDOW[0], hi: float = HU_WINDOW[1]):
+def window_intensity(arr: np.ndarray, lo: float = HU_WINDOW[0],
+                     hi: float = HU_WINDOW[1]):
     """Clip to [lo, hi] and rescale linearly to [0, 1]."""
     if not hi > lo:
         raise ValueError(f"window [{lo}, {hi}] is empty")
-    arr = as_nd(v)
     return (np.clip(arr, lo, hi) - lo) / (hi - lo)
 
 
@@ -422,11 +413,11 @@ def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str, window,
     """Load a MetaImage pair, binarize the mask, cut both volumes with
     crop(image, mask) -> (img, msk), window the image, save the sample."""
     image, meta = load_mhd(image_mhd)
-    mask, _ = load_mhd(mask_mhd)
+    image, mask = image.data, load_mhd(mask_mhd)[0].data
     if image.shape != mask.shape:
         raise ValueError(f"image shape {image.shape} != mask shape {mask.shape}")
     # the binary mask replaces the raw one, which is freed before crop runs
-    mask = (as_nd(mask) > 0).astype(np.float32)
+    mask = (mask > 0).astype(np.float32)
     img, msk = crop(image, mask)
     img = window_intensity(img, *window).astype(np.float32)
     sample = Sample(image=Tensor5(img), mask=Tensor5(msk),
@@ -449,10 +440,9 @@ def preprocess_lung(image_mhd, mask_mhd, out_dir, sample_id: str,
                             crop)
 
 
-def mask_centroid(mask) -> tuple:
+def mask_centroid(mask: np.ndarray) -> tuple:
     """Rounded centroid (d, h, w) of the foreground voxels."""
-    arr = as_nd(mask)
-    idx = np.argwhere(arr[0, 0] > 0)
+    idx = np.argwhere(mask[0, 0] > 0)
     if idx.size == 0:
         raise ValueError("mask has no foreground voxels")
     return tuple(int(round(float(c))) for c in idx.mean(axis=0))
@@ -464,8 +454,8 @@ def preprocess_nodule(image_mhd, mask_mhd, out_dir, sample_id: str,
     """MetaImage pair -> windowed fixed-size block around the nodule."""
     def crop(image, mask):
         at = mask_centroid(mask) if center is None else center
-        return (crop_nodule_block(image, at, size)[0],
-                crop_nodule_block(mask, at, size)[0])
+        return (crop_nodule_block(image, at, size),
+                crop_nodule_block(mask, at, size))
 
     return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, window,
                             crop)

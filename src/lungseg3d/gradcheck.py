@@ -457,14 +457,17 @@ def _check_dropout(seed, tol):
 # Whole-network sampled checks
 # ---------------------------------------------------------------------------
 
-# Whole networks need the small probe step: at h=1e-4 the loss along a deep
+# Whole networks need a small probe step: at h=1e-4 the loss along a deep
 # parameter is no longer locally linear (curvature compounds through the
 # batch-norm statistic chains), so central differences misreport the slope
-# even though every constituent op and block verifies cleanly.
-H_NETWORK = H_SHALLOW
+# even though every constituent op and block verifies cleanly. The lung net
+# is built from the residual blocks and gates that need H_DEEP themselves:
+# at 1e-5 probes straddle ReLU kinks (enc4.conv2.weight and up4.weight fail
+# at seed 2).
+H_NETWORK = {"lung": H_DEEP, "nodule": H_SHALLOW}
 
 
-def _sampled_network_check(op_name, net, loss_fn, seed, tol,
+def _sampled_network_check(op_name, net, loss_fn, seed, tol, h,
                            n_coords: int = 60):
     params = list(net.params())
     ag.zero_grads(params)
@@ -503,8 +506,8 @@ def _sampled_network_check(op_name, net, loss_fn, seed, tol,
         tried.add((ti, ci))
         var = params[ti]
         flat = var.data.reshape(-1)
-        n1 = _probe(f, var.data, flat, ci, H_NETWORK)
-        n2 = _probe(f, var.data, flat, ci, H_NETWORK / 2)
+        n1 = _probe(f, var.data, flat, ci, h)
+        n2 = _probe(f, var.data, flat, ci, h / 2)
         guard = max(ABS_FLOOR, (tol / 3.0) * max(abs(n1), abs(n2)))
         if abs(n1 - n2) > guard:
             skipped += 1
@@ -560,7 +563,8 @@ def _check_network(kind, seed, tol):
     xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
     r = _rand(rng, (4, 1, 16, 16, 16))
     loss_fn = lambda: _project(net.forward(xv, "train"), r)
-    return _sampled_network_check(f"{kind}_net", net, loss_fn, seed, tol)
+    return _sampled_network_check(f"{kind}_net", net, loss_fn, seed, tol,
+                                  H_NETWORK[kind])
 
 
 for _kind in NETWORKS:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Var, from_op, no_grad
-from .tensor import as_nd
+from .tensor import Tensor5
 
 CLAMP_EPS = 1e-7
 DICE_SMOOTH = 1e-6
@@ -37,9 +37,9 @@ class SegMetrics:
 
 
 def _unwrap(x) -> np.ndarray:
-    if isinstance(x, Var):
-        return x.data
-    return as_nd(x)
+    """The ndarray of a Var, a Tensor5 (a predicted or sample mask) or an
+    array."""
+    return x.data if isinstance(x, (Var, Tensor5)) else np.asarray(x)
 
 
 def _check_shapes(p, m):

@@ -1,8 +1,8 @@
-"""Dense rank-5 tensor container used throughout the package.
+"""The rank-5 volume record, raw+JSON array persistence and the JSON reader.
 
-Layout is fixed: (batch, channel, depth, height, width), row-major with the
-width index fastest. Binary ops require exact shape equality -- there is no
-broadcasting at this level, which keeps shape bugs loud.
+`Tensor5` is what samples, `load_mhd` and `predict_volume` hand out: a
+checked (batch, channel, depth, height, width) ndarray, row-major with the
+width index fastest. Everything below them works on plain ndarrays.
 """
 from __future__ import annotations
 
@@ -31,36 +31,6 @@ class Tensor5:
     def shape(self) -> tuple[int, int, int, int, int]:
         return self.data.shape
 
-    @property
-    def dtype(self) -> str:
-        return _DTYPE_NAMES[self.data.dtype]
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __getitem__(self, idx):
-        return self.data[idx]
-
-    def __setitem__(self, idx, value):
-        self.data[idx] = value
-
-    def __repr__(self):
-        return f"Tensor5(shape={self.shape}, dtype={self.dtype})"
-
-    def copy(self) -> "Tensor5":
-        return Tensor5(self.data.copy())
-
-    def astype(self, dtype: str) -> "Tensor5":
-        return Tensor5(self.data.astype(DTYPES[dtype]))
-
-
-def as_nd(x) -> np.ndarray:
-    """Accept a Tensor5 or ndarray and return the underlying ndarray."""
-    if isinstance(x, Tensor5):
-        return x.data
-    return np.asarray(x)
-
 
 def save_array(arr: np.ndarray, base_path: str) -> None:
     """Write `arr` as `<base>.raw` (little-endian) plus a `<base>.json` sidecar.
@@ -80,31 +50,41 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
         json.dump(sidecar, f)
 
 
-# (test, expected) value checks for read_json
+# (test, expected) value checks for check_keys and read_json
 STRING = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: type(v) is int, "an integer")
+NUMBER = (lambda v: type(v) in (int, float), "a number")
+INTEGERS = (lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+            "a list of integers")
+OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+
+
+def check_keys(obj, what: str, keys) -> dict:
+    """`obj`, which must be a JSON object holding every key of `keys`, each
+    value passing the key's (test, expected) pair. Anything else raises
+    ValueError naming `what` and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} holds {json.dumps(obj)[:40]}, "
+                         f"expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no key {key!r}")
+    for key, (test, expected) in keys.items():
+        if not test(obj[key]):
+            raise ValueError(f"{what} has {key!r} {obj[key]!r}, "
+                             f"expected {expected}")
+    return obj
 
 
 def read_json(path, what: str, keys) -> dict:
-    """The JSON object in file `path`, described as `what` in errors. `keys`
-    maps each required key to a (test, expected) pair its value must pass.
-    Anything else raises ValueError naming the path and the key."""
+    """The JSON object in file `path`, described as `what` in errors and
+    checked against `keys` by check_keys."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} {path} holds {json.dumps(obj)[:40]}, "
-                         f"expected a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} {path} has no key {key!r}")
-    for key, (test, expected) in keys.items():
-        if not test(obj[key]):
-            raise ValueError(f"{what} {path} has {key!r} {obj[key]!r}, "
-                             f"expected {expected}")
-    return obj
+    return check_keys(obj, f"{what} {path}", keys)
 
 
 def load_array(base_path: str) -> np.ndarray:

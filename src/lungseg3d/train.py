@@ -20,7 +20,8 @@ from .data import SplitManifest, load_sample
 from .losses import SegMetrics, combined_term, seg_metrics
 from .networks import (NetworkConfig, build_network, check_threshold,
                        predict_volume)
-from .tensor import INTEGER, STRING, load_array, read_json, save_array
+from .tensor import (INTEGER, INTEGERS, NUMBER, OBJECT, STRING, check_keys,
+                     load_array, read_json, save_array)
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
 _ADAM_CHUNK = 16384  # elements per cache-resident chunk of an Adam update
@@ -143,27 +144,32 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
 def load_checkpoint(ckpt_dir) -> TrainState:
     """Rebuild the network and optimizer state from a checkpoint directory."""
     path = os.path.join(ckpt_dir, "manifest.json")
-    obj = (lambda v: isinstance(v, dict), "a JSON object")
     manifest = read_json(path, "checkpoint manifest", {
         "kind": STRING, "seed": INTEGER, "epoch": INTEGER,
-        "best_val_dice": (lambda v: type(v) in (int, float), "a number"),
-        "config": obj, "adam": obj, "tensors": obj})
-    try:
-        cfg, a = manifest["config"], manifest["adam"]
-        config = NetworkConfig(stage_channels=cfg["stage_channels"],
-                               input_geometry=tuple(cfg["input_geometry"]),
-                               attn_window=tuple(cfg["attn_window"]),
-                               dropout_rate=cfg["dropout_rate"],
-                               output_channels=cfg["output_channels"])
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                         eps=a["eps"], t=a["t"])
-        kind, seed = manifest["kind"], manifest["seed"]
-        epoch, best_val_dice = manifest["epoch"], manifest["best_val_dice"]
-        tensors = {name: (entry["file"], entry["role"])
-                   for name, entry in manifest["tensors"].items()}
-    except KeyError as exc:
-        raise ValueError(
-            f"checkpoint manifest {path} has no key {exc}") from None
+        "best_val_dice": NUMBER, "config": OBJECT, "adam": OBJECT,
+        "tensors": OBJECT})
+    where = f"checkpoint manifest {path}"
+    cfg = check_keys(manifest["config"], f"{where} 'config'", {
+        "stage_channels": INTEGERS, "input_geometry": INTEGERS,
+        "attn_window": INTEGERS, "dropout_rate": NUMBER,
+        "output_channels": INTEGER})
+    a = check_keys(manifest["adam"], f"{where} 'adam'", {
+        "lr": NUMBER, "beta1": NUMBER, "beta2": NUMBER, "eps": NUMBER,
+        "t": INTEGER})
+    tensors = {}
+    for name, entry in manifest["tensors"].items():
+        check_keys(entry, f"{where} tensor {name!r}",
+                   {"file": STRING, "role": STRING})
+        tensors[name] = (entry["file"], entry["role"])
+    config = NetworkConfig(stage_channels=cfg["stage_channels"],
+                           input_geometry=tuple(cfg["input_geometry"]),
+                           attn_window=tuple(cfg["attn_window"]),
+                           dropout_rate=cfg["dropout_rate"],
+                           output_channels=cfg["output_channels"])
+    adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+                     eps=a["eps"], t=a["t"])
+    kind, seed = manifest["kind"], manifest["seed"]
+    epoch, best_val_dice = manifest["epoch"], manifest["best_val_dice"]
     net = build_network(kind, config, seed)
 
     def load(name, like):
@@ -304,8 +310,10 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
         for step, sid in enumerate(order):
             try:
                 sample = load_sample(sample_dir, sid)
-            except (OSError, ValueError) as exc:
+            except OSError as exc:  # exit code 2, an I/O error
                 raise RuntimeError(f"failed to load sample {sid!r}: {exc}") from exc
+            except ValueError as exc:  # exit code 1, a malformed sample
+                raise ValueError(f"failed to load sample {sid!r}: {exc}") from exc
             drop_rng = np.random.default_rng(
                 [state.seed, 0xD409, epoch, step])
             try:

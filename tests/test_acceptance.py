@@ -315,7 +315,7 @@ def test_criterion_08_pipeline_exactness(tmp_path):
 
     vol = rng.integers(-1024, 3072, (1, 1, 5, 7, 6)).astype(np.float32)
     path = tmp_path / "vol.mhd"
-    write_mhd(path, Tensor5(vol), spacing=(0.7, 0.7, 1.25),
+    write_mhd(path, vol, spacing=(0.7, 0.7, 1.25),
               origin=(-100.0, -100.0, 50.0), element_type="MET_SHORT")
     back, meta = load_mhd(path)
     mhd_ok = (np.array_equal(back.data, vol)

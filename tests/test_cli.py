@@ -204,7 +204,7 @@ def test_train_requires_manifest(capsys):
 
 # (file, path of the key removed from a valid one); "sidecar" is the JSON
 # sidecar of the checkpoint tensor head.weight, "meta" the .meta.json of the
-# sample that predict reads
+# sample that predict reads, "train-meta" the same file read by train
 MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("split", ("seed",)),
              ("checkpoint", ("kind",)), ("checkpoint", ("seed",)),
@@ -212,7 +212,8 @@ MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
              ("checkpoint", ("config", "stage_channels")),
              ("sidecar", ("shape",)), ("sidecar", ("dtype",)),
-             ("meta", ("id",)), ("meta", ("spacing",)), ("meta", ("origin",))]
+             ("meta", ("id",)), ("meta", ("spacing",)), ("meta", ("origin",)),
+             ("train-meta", ("id",))]
 # (file, key path, label, the bad value made from the valid one); an empty
 # key path replaces the whole file
 BAD_VALUES = [
@@ -225,6 +226,9 @@ BAD_VALUES = [
     ("split", ("seed",), "str", lambda v: "0"),
     ("checkpoint", ("seed",), "null", lambda v: None),
     ("checkpoint", ("tensors",), "list", lambda v: [v]),
+    ("checkpoint", ("config", "stage_channels"), "int", lambda v: 5),
+    ("checkpoint", ("adam", "t"), "str", lambda v: "x"),
+    ("checkpoint", ("tensors", "head.weight"), "int", lambda v: 5),
     ("meta", ("spacing",), "int", lambda v: 1),
     *[(w, (), "list", lambda v: [1])
       for w in ("split", "checkpoint", "sidecar", "meta")],
@@ -249,10 +253,12 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
         net=build_network("nodule", config, 0), kind="nodule", config=config,
         adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
     split_path = tmp_path / "split.json"
+    split_path.write_text(json.dumps(split))
     path = {"split": split_path, "checkpoint": ckpt / "manifest.json",
             "sidecar": ckpt / "head.weight.json",
-            "meta": tmp_path / "a.meta.json"}[which]
-    payload = split if which == "split" else json.loads(path.read_text())
+            "meta": tmp_path / "a.meta.json",
+            "train-meta": tmp_path / "a.meta.json"}[which]
+    payload = json.loads(path.read_text())
     node = payload
     for k in key[:-1]:
         node = node[k]
@@ -263,7 +269,7 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
     else:
         node[key[-1]] = bad(node[key[-1]])
     path.write_text(json.dumps(payload))
-    if which == "split":
+    if which in ("split", "train-meta"):
         argv = ["train", "--net", "nodule", "--manifest", str(split_path),
                 "--sample-dir", str(tmp_path), "--out", str(tmp_path / "run"),
                 *MICRO_FLAGS]
@@ -272,7 +278,6 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
                 "--sample-dir", str(tmp_path),
                 "--out", str(tmp_path / "pred.mhd")]
     else:
-        split_path.write_text(json.dumps(split))
         argv = ["eval", "--checkpoint", str(ckpt), "--manifest",
                 str(split_path), "--sample-dir", str(tmp_path)]
     assert main(argv) == 1
@@ -280,6 +285,17 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
     assert len(err) == 1 and err[0].startswith("error:"), err
     named = repr(key[-1]) if key else "expected a JSON object"
     assert str(path) in err[0] and named in err[0], err[0]
+
+
+def test_missing_training_sample_is_io_error(tmp_path, capsys):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": ["ghost"], "val": [], "test": [],
+                                 "seed": 0}))
+    assert main(["train", "--net", "nodule", "--manifest", str(split),
+                 "--sample-dir", str(tmp_path), "--out", str(tmp_path / "run"),
+                 *MICRO_FLAGS]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "failed to load sample 'ghost'" in err[0], err
 
 
 def test_pipeline_train_eval_predict_heatmap(tmp_path, capsys):

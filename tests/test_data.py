@@ -11,6 +11,7 @@ from lungseg3d.data import (HU_WINDOW, MhdMeta, Sample, SplitManifest,
                             preprocess_nodule, resize_inplane, save_manifest,
                             save_sample, split_dataset, window_intensity,
                             write_mhd)
+from lungseg3d.networks import NetworkConfig, build_network, predict_volume
 from lungseg3d.tensor import Tensor5
 
 
@@ -183,16 +184,29 @@ def test_crop_about_median_rejects_thin_volumes():
 
 def test_crop_nodule_block_centers_and_pads():
     v = np.arange(6 * 6 * 6, dtype=np.float64).reshape(1, 1, 6, 6, 6)
-    block, pads = crop_nodule_block(v, (3, 3, 3), size=4)
+    block = crop_nodule_block(v, (3, 3, 3), size=4)
     assert block.shape == (1, 1, 4, 4, 4)
-    assert pads == ((0, 0), (0, 0), (0, 0))
-    # source center voxel sits at block index size//2
-    assert block[0, 0, 2, 2, 2] == v[0, 0, 3, 3, 3]
+    # source center voxel sits at block index size//2; an interior block
+    # is a plain copy, with no zero margin
+    assert np.array_equal(block, v[:, :, 1:5, 1:5, 1:5])
 
-    edge, pads = crop_nodule_block(v, (0, 0, 0), size=4)
-    assert pads == ((2, 0), (2, 0), (2, 0))
+    # at the corner, the first two planes of each axis are zero padding and
+    # the rest is the volume's 2x2x2 corner
+    edge = crop_nodule_block(v, (0, 0, 0), size=4)
     assert edge[0, 0, 2, 2, 2] == v[0, 0, 0, 0, 0]
-    assert not edge[0, 0, :2].any()  # zero padding
+    for axis in (2, 3, 4):
+        margin = [slice(None)] * 5
+        margin[axis] = slice(0, 2)
+        assert not edge[tuple(margin)].any()
+    assert np.array_equal(edge[:, :, 2:, 2:, 2:], v[:, :, :2, :2, :2])
+
+    # at the far corner the padding is the last plane of each axis
+    far = crop_nodule_block(v, (5, 5, 5), size=4)
+    assert np.array_equal(far[:, :, :3, :3, :3], v[:, :, 3:, 3:, 3:])
+    for axis in (2, 3, 4):
+        margin = [slice(None)] * 5
+        margin[axis] = slice(3, 4)
+        assert not far[tuple(margin)].any()
 
     with pytest.raises(ValueError):
         crop_nodule_block(v, (50, 3, 3), size=4)
@@ -395,3 +409,35 @@ def test_preprocess_nodule_chain(tmp_path):
     # centroid of the blob lands at the block center
     assert sample.mask.data[0, 0, 8, 8, 8] == 1.0
     assert sample.image.data.min() >= 0.0 and sample.image.data.max() <= 1.0
+
+
+def test_returned_volumes_have_the_data_and_shape_the_benchmark_reads(
+        tmp_path):
+    """perfbench reads `.data` and `.shape` off samples, predictions and
+    MetaImage volumes; each must be a C-contiguous rank-5 f32/f64 ndarray
+    with the shape it reports."""
+    rng = np.random.default_rng(12)
+    img = rng.integers(-1200, 600, size=(1, 1, 24, 24, 24)).astype(np.float32)
+    msk = np.zeros((1, 1, 24, 24, 24), dtype=np.float32)
+    msk[0, 0, 10:14, 9:13, 11:15] = 1.0
+    write_mhd(tmp_path / "img.mhd", img, element_type="MET_SHORT")
+    write_mhd(tmp_path / "msk.mhd", msk, element_type="MET_UCHAR")
+    pair = (tmp_path / "img.mhd", tmp_path / "msk.mhd", tmp_path / "out")
+    phantom = make_phantom("nodule", 32, 0)
+    save_sample(phantom, tmp_path / "out")
+    lung = preprocess_lung(*pair, "lung0", target=(20, 20))
+    nodule = preprocess_nodule(*pair, "nod0", size=16)
+    loaded = load_sample(tmp_path / "out", phantom.id)
+    config = NetworkConfig(stage_channels=[2, 4, 8, 16],
+                           input_geometry=(1, 32, 32, 32))
+    net = build_network("nodule", config, 0)
+    volumes = {"load_mhd": load_mhd(tmp_path / "img.mhd")[0],
+               "predict_volume": predict_volume(net, phantom.image)}
+    for name, s in (("make_phantom", phantom), ("load_sample", loaded),
+                    ("preprocess_lung", lung), ("preprocess_nodule", nodule)):
+        volumes[f"{name}.image"], volumes[f"{name}.mask"] = s.image, s.mask
+    for name, v in volumes.items():
+        arr = v.data
+        assert isinstance(arr, np.ndarray) and arr.ndim == 5, name
+        assert arr.dtype in (np.float32, np.float64), name
+        assert arr.flags.c_contiguous and v.shape == arr.shape, name
