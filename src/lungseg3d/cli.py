@@ -72,11 +72,13 @@ def _int_list(text: str) -> list:
         raise UsageError(f"expected comma-separated ints, got {text!r}")
 
 
-# RunConfig field type -> (test of a JSON value, what the error asks for);
-# a JSON true or false is never a number here
+NETS = ("lung", "nodule")
+# RunConfig field name or type -> (test of a JSON value, what the error asks
+# for); a JSON true or false is never a number here
 _CONFIG_TYPES = {
     "int": INTEGER, "float": NUMBER, "str": STRING,
     "list": (lambda v: v is None or INTEGERS[0](v), INTEGERS[1]),
+    "net": (lambda v: v in NETS, " or ".join(map(json.dumps, NETS))),
 }
 
 
@@ -89,7 +91,7 @@ def _load_config(args) -> RunConfig:
         for key, val in payload.items():
             if key not in types:
                 raise UsageError(f"config file {path}: unknown key {key!r}")
-            test, what = _CONFIG_TYPES[types[key]]
+            test, what = _CONFIG_TYPES.get(key, _CONFIG_TYPES[types[key]])
             if not test(val):
                 raise UsageError(f"config file {path}: {key!r} must be "
                                  f"{what}, got {json.dumps(val)}")
@@ -141,7 +143,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("preprocess", help="MetaImage pair to training sample")
     _add_common(p)
-    p.add_argument("--net", choices=("lung", "nodule"), default=None)
+    p.add_argument("--net", choices=NETS, default=None)
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
@@ -159,7 +161,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a network")
     _add_common(p)
-    p.add_argument("--net", choices=("lung", "nodule"), default=None)
+    p.add_argument("--net", choices=NETS, default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--sample-dir", default=None, dest="sample_dir")
     p.add_argument("--out", default=None, dest="out_dir")

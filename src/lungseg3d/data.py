@@ -72,6 +72,16 @@ def _is_identity(matrix: str) -> bool:
         return False
 
 
+def _three_numbers(fields: dict, key: str, default: str) -> tuple:
+    try:
+        vals = tuple(float(v) for v in fields.get(key, default).split())
+    except ValueError:
+        vals = ()
+    if len(vals) != 3:
+        raise ValueError(f"{key} = {fields[key]} must be 3 numbers")
+    return vals
+
+
 def load_mhd(header_path):
     """Read a MetaImage volume; returns ((1,1,D,H,W) Tensor5, MhdMeta)."""
     header_path = str(header_path)
@@ -124,8 +134,8 @@ def load_mhd(header_path):
     buf = np.fromfile(raw_path, dtype=dt)
     vol = buf.reshape(d, h, w).astype(np.float32)
 
-    spacing = tuple(float(v) for v in fields.get("ElementSpacing", "1 1 1").split())
-    origin = tuple(float(v) for v in fields.get("Offset", "0 0 0").split())
+    spacing = _three_numbers(fields, "ElementSpacing", "1 1 1")
+    origin = _three_numbers(fields, "Offset", "0 0 0")
     meta = MhdMeta(spacing=spacing, origin=origin, element_type=etype)
     return Tensor5(vol[None, None]), meta
 

@@ -6,64 +6,59 @@ functions return exact analytic gradients of their forward map; nothing here
 is approximated.
 
 Convolution is cross-correlation (no kernel flip). The conv family is one
-shift-and-GEMM (kn2row) kernel and its adjoints. The input is zero-padded
-once and the spatial axes of each stride phase (below; Dq x Hq x Wq voxels)
-are flattened with row pitches Hq*Wq and Wq, so output voxel (i, j, k) sits
-at flat column i*Hq*Wq + j*Wq + k and each kernel tap reads the input at
-one fixed flat offset: one matmul of the tap's (O x C) matrix against a
-contiguous column slice, accumulated into a preallocated output, with no
-im2col buffer. Stride is a phase decomposition: each padded axis is extended
-to a multiple of its stride s and split into s phases, and tap t with
-dilation d reads phase (d*t) mod s at shift (d*t) div s (with dilation 2 and
-stride 2 every tap reads phase 0). Columns with j >= out_h or k >= out_w are
-gaps between output rows. The forward fills them with reads that wrap into
-the next row and crops them away. The backward GEMMs read grad_out in the
-same layout, so its gaps must be zero: a nonzero gap would scatter into the
-input gradient and the weight gradient, and they would no longer be exact
-adjoints of the forward.
+shift-and-GEMM (kn2row) loop. The input is zero-padded once and the spatial
+axes of each stride phase (below; Dq x Hq x Wq voxels) are flattened with row
+pitches Hq*Wq and Wq, so output voxel (i, j, k) sits at flat column
+i*Hq*Wq + j*Wq + k and each kernel tap reads the input at one fixed flat
+offset: one matmul of the tap's (O x C) matrix against a contiguous column
+slice, accumulated into a preallocated output, with no im2col buffer. Stride
+is a phase decomposition: each padded axis is extended to a multiple of its
+stride s and split into s phases, and tap t with dilation d reads phase
+(d*t) mod s at shift (d*t) div s (with dilation 2 and stride 2 every tap reads
+phase 0). Columns with j >= out_h or k >= out_w are gaps between output rows.
+The forward fills them with reads that wrap into the next row and crops them
+away. The backward reads grad_out in the same layout, so its gaps must be
+zero, or the gradients would not be exact adjoints of the forward.
 
-The two accumulating loops, the forward shift-GEMM and its scatter adjoint,
-run over blocks of destination columns with the taps inside. Each tap's GEMM
-and its += then touch one block that stays in L2, instead of streaming the
-whole accumulator through memory once per tap. The scatter's destination is
-the phase buffers; each tap's part of a block is clipped to the columns that
-tap writes. Because the blocks split the destination and not the taps, every
-output element still receives its tap terms one at a time in tap order, as in
-one unblocked pass, so blocking moves no result bit. The exception is inside
-BLAS: a one-row GEMM runs as a GEMV, and OpenBLAS splits a long f32 GEMV
-across threads in a way that rounds some columns differently from shorter
-calls, so a layer with one output channel can differ in the last bit from an
-unblocked pass.
+The input gradient is the same loop once per phase that taps read: a
+transposed conv is a direct conv with the transposed kernel, one
+sub-convolution per stride phase. Column n of phase r sums W_t^T @
+gy[n - off_t] over the taps t that read r. grad_out is pitched after `lead`
+zero columns, the largest tap offset, so tap t reads it at the fixed offset
+lead - off_t + n. Only the columns that land inside the unpadded input are
+computed; a phase no tap reads stays zero. tconv3d is this input gradient
+plus a bias; its input gradient is the conv forward, and its weight gradient
+the conv weight gradient with x and grad_out swapped.
 
-The weight gradient is a sum over the L columns, and it is blocked over
-them: per block and batch item, one (O x nb) @ (nb x C) GEMM per tap on
-views adds into a (taps, O, C) accumulator, so the block of grad_out and each
-tap's phase slice stay in L2. Blocking reorders that sum. The weight gradient
-therefore rounds differently from one GEMM per tap over all L columns (about
-5e-7 relative in f32), but it is the same bytes from one run to the next.
+The loop runs over blocks of destination columns with the taps inside, so
+each tap's GEMM and its += touch one block that stays in L2 instead of
+streaming the whole accumulator once per tap. Every output element still
+receives its tap terms one at a time in tap order, so blocking moves no
+result bit, except inside BLAS: a one-row GEMM runs as a GEMV, which OpenBLAS
+splits across threads, so a result with one channel can depend in the last
+bit on the columns of the call.
 
-Thin layers stack taps. When a tap has fewer than 5 input channels C (and
-at least as many output channels), its GEMM is a rank-C update, dominated by
-the += that follows it. The forward shift-GEMM then takes the taps in plan
-order in groups of g = 9 // C, copies a group's phase slices into one
-(g*C)-row operand per column block and issues one GEMM with the group's
-(O x g*C) weight block: at C = 1 a whole kh x kw plane of a 3x3x3 kernel
-is one GEMM. Within a group the tap terms are summed inside BLAS, so such a
-layer rounds differently from one GEMM per tap. Every other layer (g = 1)
-reads its phase slices in place, one GEMM per tap, exactly as above. The
-scatter adjoint does not stack: its destination is the phase buffers, and
-each tap writes a different slice of them.
+The weight gradient is a sum over the L columns, blocked over them: per block
+and batch item, one (O x nb) @ (nb x C) GEMM per tap on views adds into a
+(taps, O, C) accumulator, so the block of grad_out and each tap's phase slice
+stay in L2. Blocking reorders that sum, so it rounds differently from one GEMM
+per tap over all L columns (about 5e-7 relative in f32), but it is the same
+bytes from one run to the next.
 
-Small layers skip all of the above: when the B*T*C*L-element stack of all T
-taps (C the weight's axis-1 channels) fits one core's 2 MiB L2, each loop is
-one GEMM against the free view w.reshape(O, C*T), whose column c*T + t meets
-the stack's row for channel c of tap t: forward view @ stack, weight gradient
-gy @ stack^T over the batch, input gradient view^T @ gy added into the phases
-tap by tap. Below that budget, T GEMMs and += passes cost more than the copy.
+Thin layers stack taps. A tap GEMM with fewer than 5 input rows C (and at
+least as many output rows) is a rank-C update, dominated by the += after it.
+The loop then copies the slices of g = 9 // C taps, in order, into one
+(g*C)-row operand per column block and issues one GEMM with their (O x g*C)
+weight block: at C = 1 a kh x kw plane of a 3x3x3 kernel is one GEMM, in the
+forward of a 1-input-channel layer and the input gradient of a 1-output one.
+Within a group the tap terms are summed inside BLAS, so the result rounds
+differently from one GEMM per tap.
 
-tconv3d is the conv input gradient plus a bias; its input gradient is the
-conv forward, and its weight gradient is the conv weight gradient with x and
-grad_out swapped.
+Small layers skip all of the above: when the B*T*C*n-element stack of all T
+taps' slices fits one core's 2 MiB L2, the loop is one GEMM against the tap
+matrices reshaped to (O, C*T), whose column c*T + t meets the stack's row for
+channel c of tap t, and the weight gradient is one gy @ stack^T over the
+batch. Below that budget, T GEMMs and += passes cost more than the copy.
 """
 from __future__ import annotations
 
@@ -167,10 +162,12 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 
 class _TapPlan(NamedTuple):
-    out: tuple   # forward output dims
-    M: tuple     # phase lengths; each padded axis is M * stride long
-    L: int       # pitched columns up to and including the last output voxel
-    taps: tuple  # (kernel index, phase, flat offset into that phase)
+    out: tuple    # forward output dims
+    M: tuple      # phase lengths; each padded axis is M * stride long
+    L: int        # pitched columns up to and including the last output voxel
+    taps: tuple   # (phase, flat offset into that phase), in kernel order
+    lead: int     # zero columns before pitched grad_out: the largest offset
+    reads: tuple  # per read phase: (phase, its taps, span a, e, gy offsets)
 
 
 def _tap_plan(spec: ConvSpec, spatial) -> _TapPlan:
@@ -186,11 +183,21 @@ def _cached_tap_plan(kernel, stride, dilation, padding, spatial) -> _TapPlan:
     pitch = (M[1] * M[2], M[2], 1)
     taps = []
     for k in np.ndindex(*kernel):
-        qr = [divmod(t * d, s) for t, d, s in zip(k, dilation, stride)]
-        taps.append((k, tuple(r for _, r in qr),
-                     sum(q * c for (q, _), c in zip(qr, pitch))))
+        q, r = np.divmod(np.multiply(k, dilation), stride)
+        taps.append((tuple(int(i) for i in r), int(np.dot(q, pitch))))
+    lead, reads = max(off for _, off in taps), []
+    for r in dict.fromkeys(r for r, _ in taps):
+        # the first and last m of phase r's padded voxels r + s*m in the input
+        lo = -(np.subtract(r, padding) // stride)
+        hi = (np.add(padding, spatial) - 1 - r) // stride
+        if (lo <= hi).all():
+            a = int(np.dot(lo, pitch))
+            idx = tuple(t for t, (q, _) in enumerate(taps) if q == r)
+            reads.append((r, idx if len(idx) < len(taps) else slice(None), a,
+                          1 + int(np.dot(hi, pitch)),
+                          tuple(lead - taps[t][1] + a for t in idx)))
     return _TapPlan(out, M, 1 + sum((o - 1) * c for o, c in zip(out, pitch)),
-                    tuple(taps))
+                    tuple(taps), lead, tuple(reads))
 
 
 def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
@@ -200,20 +207,21 @@ def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
     xq[(..., *map(slice, spec.padding, np.add(spec.padding, x.shape[2:])))] = x
     sd, sh, sw = spec.stride
     return {r: np.ascontiguousarray(xq[:, :, r[0]::sd, r[1]::sh, r[2]::sw])
-            .reshape(x.shape[:2] + (-1,)) for r in {r for _, r, _ in plan.taps}}
+            .reshape(x.shape[:2] + (-1,)) for r in {r for r, _ in plan.taps}}
 
 
 def _pitched(g, plan: _TapPlan) -> np.ndarray:
-    """g (B, C, *plan.out) in the pitched flat layout, zero in the gaps."""
-    gp = np.zeros(g.shape[:3] + plan.M[1:], dtype=g.dtype)
-    gp[..., :plan.out[1], :plan.out[2]] = g
-    return gp.reshape(g.shape[:2] + (-1,))[..., :plan.L]
+    """g (B, C, *plan.out) pitched after plan.lead zero columns, zero gaps."""
+    gp = np.zeros(g.shape[:2] + (plan.lead + int(np.prod(plan.M)),), g.dtype)
+    gp[..., plan.lead:].reshape(g.shape[:2] + plan.M)[
+        (..., *map(slice, plan.out))] = g
+    return gp
 
 
 def _block_cols(acc_rows: int, in_rows: int, itemsize: int) -> int:
-    """Columns per block of the GEMM loops: destination columns of the two
-    accumulating loops, reduction columns of the weight gradient (which
-    counts grad_out rows as acc_rows and input rows as in_rows).
+    """Columns per block of the GEMM loops: destination columns of the
+    shift-GEMM, reduction columns of the weight gradient (grad_out rows
+    count as acc_rows and input rows as in_rows).
 
     A block's accumulator, scratch and input rows fit in about 512 KiB of L2;
     below 4096 columns a call costs more in dispatch than the cache saves.
@@ -230,17 +238,17 @@ def _one_gemm(B: int, T: int, C: int, L: int, itemsize: int) -> bool:
     return B * T * C * L * itemsize <= 2 << 20
 
 
-def _stack(xph: dict, plan: _TapPlan) -> np.ndarray:
-    """Row c*T + t of this (B, C*T, L) stack is channel c of tap t's slice;
-    a single tap's slice is read in place."""
-    sl = [xph[r][..., off: off + plan.L] for _, r, off in plan.taps]
-    return sl[0] if len(sl) == 1 else np.stack(sl, axis=2).reshape(
-        sl[0].shape[0], -1, plan.L)
+def _stack(views) -> np.ndarray:
+    """Row c*T + t of this (B, C*T, n) stack is channel c of tap t's view;
+    a single tap's view is read in place."""
+    B, _, n = views[0].shape
+    return views[0] if len(views) == 1 else np.stack(views, axis=2).reshape(
+        B, -1, n)
 
 
 def _tap_group(C: int, O: int) -> int:
-    """Taps per GEMM of the forward shift-GEMM, for C input and O output
-    channels per tap.
+    """Taps per GEMM of the shift-GEMM, for C input and O output channels
+    per tap.
 
     Stacking copies g*C rows per column to save g - 1 += passes over O rows.
     With O < C the copy costs more than it saves (a one-row GEMM is a GEMV
@@ -249,97 +257,88 @@ def _tap_group(C: int, O: int) -> int:
     return max(1, 9 // C) if O >= C else 1
 
 
-def _shift_gemm(xph: dict, w, plan: _TapPlan, dtype) -> np.ndarray:
-    """Conv without bias: pitched y = sum_t W_t @ x_phase[off_t: off_t + L]."""
-    (B, C, _), O, L = next(iter(xph.values())).shape, w.shape[0], plan.L
-    (od, oh, ow), (_, Mh, Mw) = plan.out, plan.M
-    yp = np.empty((B, O, od * Mh * Mw), dtype=dtype)
-    if _one_gemm(B, len(plan.taps), C, L, yp.itemsize):
-        np.matmul(w.reshape(O, -1), _stack(xph, plan), out=yp[..., :L])
-        return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
-    wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
+def _shift_gemm(views, wk, out) -> None:
+    """Fill out (B, O, n) with sum_t wk[:, :, t] @ views[t], for the (O, C, T)
+    tap matrices wk and each tap's (B, C, n) view of its shifted input."""
+    (B, O, n), C = out.shape, wk.shape[1]
+    if _one_gemm(B, len(views), C, n, out.itemsize):
+        np.matmul(wk.reshape(O, -1), _stack(views), out=out)
+        return
+    wt = np.ascontiguousarray(np.moveaxis(wk, 2, 0))
     g = _tap_group(C, O)
-    nb = min(L, _block_cols(B * O, B * g * C, yp.itemsize))
-    # The scratch is one (B, O, nb) block, but it is carved from a buffer of
-    # the unblocked loop's (B, O, L) size; the untouched rest never becomes
-    # resident. With a block-sized allocation glibc stopped trimming its heap
-    # before the full-resolution decoder, and the lung-eval peak RSS rose by
-    # 45-60 MB. The reservations that matter are the mid-size ones, below
-    # glibc's 32 MB mmap ceiling.
-    tmp = np.empty(B * O * L, dtype=dtype)[:B * O * nb].reshape(B, O, nb)
-    # Taps go in groups of g, in plan order: one (O, g*C) weight block per
-    # group and, per column block, one (B, g*C, nb) operand copied from the
-    # group's phase slices (the block rule counts its rows as input rows). A
-    # one-tap group reads its phase slice in place, so with g = 1 this is one
-    # GEMM and one += per tap, bit-identical to the loop before grouping.
-    stack = np.empty((B, g * C, nb), dtype=dtype) if g > 1 else None
-    groups = [(np.concatenate([wt[k] for k, _, _ in grp], axis=1),
-               [(xph[r], off) for _, r, off in grp])
-              for grp in (plan.taps[i:i + g]
-                          for i in range(0, len(plan.taps), g))]
+    nb = min(n, _block_cols(B * O, B * g * C, out.itemsize))
+    # The scratch is one (B, O, nb) block carved from a (B, O, n) buffer whose
+    # untouched rest never becomes resident. With block-sized scratch, glibc
+    # stopped trimming its heap (below its 32 MB mmap ceiling) before the
+    # full-resolution decoder, and the lung-eval peak RSS rose by 45-60 MB.
+    tmp = np.empty(B * O * n, dtype=out.dtype)[:B * O * nb].reshape(B, O, nb)
+    # Taps go in groups of g, in order: one (O, g*C) weight block per group
+    # and, per column block, one (B, g*C, nb) operand copied from the group's
+    # views (the block rule counts its rows as input rows). A one-tap group
+    # reads its view in place: with g = 1, one GEMM and one += per tap.
+    stack = np.empty((B, g * C, nb), dtype=out.dtype) if g > 1 else None
+    groups = [(np.concatenate(wt[i:i + g], axis=1), views[i:i + g])
+              for i in range(0, len(views), g)]
 
-    def operand(srcs, a, e):
-        if len(srcs) == 1:
-            xr, off = srcs[0]
-            return xr[..., off + a: off + e]
-        xs = stack[:, :len(srcs) * C, :e - a]
-        for j, (xr, off) in enumerate(srcs):
-            xs[:, j * C: (j + 1) * C] = xr[..., off + a: off + e]
+    def operand(grp, a, e):
+        if len(grp) == 1:
+            return grp[0][..., a:e]
+        xs = stack[:, :len(grp) * C, :e - a]
+        for j, v in enumerate(grp):
+            xs[:, j * C: (j + 1) * C] = v[..., a:e]
         return xs
 
     (w0, x0), *rest = groups
-    for a in range(0, L, nb):
-        e = min(a + nb, L)
-        yb, tb = yp[..., a:e], tmp if e - a == nb else tmp[..., :e - a]
+    for a in range(0, n, nb):
+        e = min(a + nb, n)
+        yb, tb = out[..., a:e], tmp if e - a == nb else tmp[..., :e - a]
         np.matmul(w0, operand(x0, a, e), out=yb)
-        for wk, srcs in rest:
-            yb += np.matmul(wk, operand(srcs, a, e), out=tb)
+        for wg, grp in rest:
+            yb += np.matmul(wg, operand(grp, a, e), out=tb)
+
+
+def _forward(xph: dict, w, plan: _TapPlan) -> np.ndarray:
+    """Conv without bias from the phase buffers, cropped to plan.out."""
+    x0, O = next(iter(xph.values())), w.shape[0]
+    (B, C, _), (od, oh, ow), (_, Mh, Mw) = x0.shape, plan.out, plan.M
+    yp = np.empty((B, O, od * Mh * Mw), dtype=x0.dtype)
+    _shift_gemm([xph[r][..., off: off + plan.L] for r, off in plan.taps],
+                w.reshape(O, C, -1), yp[..., :plan.L])
     return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
 
 
-def _scatter_gemm(gyp, w, spec: ConvSpec, plan: _TapPlan, spatial, dtype):
-    """Adjoint of _shift_gemm: W_t^T @ gy into the phases, re-interleaved."""
-    B, (O, C), L, M, s = gyp.shape[0], w.shape[:2], plan.L, plan.M, spec.stride
-    T, N = len(plan.taps), M[0] * M[1] * M[2]
-    g = np.zeros(s + (B, C, N), dtype=dtype)
-    if _one_gemm(B, T, C, L, g.itemsize):
-        gs = np.matmul(w.reshape(O, C * T).T, gyp).reshape(B, C, T, L)
-        for t, (_, r, off) in enumerate(plan.taps):
-            g[r][..., off: off + L] += gs[:, :, t]
-    else:
-        wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (3, 4)))
-        nb = min(N, _block_cols(B * C, B * O, g.itemsize))
-        nt = min(nb, L)
-        tmp = np.empty((B, C, nt), dtype=dtype)
-        taps = [(wt[k].T, g[r], off) for k, r, off in plan.taps]
-        for a in range(0, N, nb):
-            for wk, gr, off in taps:
-                lo, hi = max(a, off), min(a + nb, off + L)
-                if lo < hi:
-                    t = tmp if hi - lo == nt else tmp[..., :hi - lo]
-                    d = gr[..., lo:hi]
-                    d += np.matmul(wk, gyp[..., lo - off: hi - off], out=t)
+def _adjoint(gp, w, spec: ConvSpec, plan: _TapPlan, spatial) -> np.ndarray:
+    """Adjoint of _forward from gp = _pitched(gy): phase r of the padded
+    result is sum_t W_t^T @ gy[n - off_t] over the taps t that read r."""
+    B, (O, C), M, s = gp.shape[0], w.shape[:2], plan.M, spec.stride
+    g = np.zeros(s + (B, C, M[0] * M[1] * M[2]), dtype=gp.dtype)
+    wt = np.ascontiguousarray(w.swapaxes(0, 1)).reshape(C, O, -1)
+    for r, idx, a, e, offs in plan.reads:
+        _shift_gemm([gp[..., o: o + e - a] for o in offs], wt[..., idx],
+                    g[r][..., a:e])
     g = g.reshape(s + (B, C) + M).transpose(3, 4, 5, 0, 6, 1, 7, 2).reshape(
         (B, C) + tuple(m * t for m, t in zip(M, s)))
     return g[(..., *(slice(p, p + n) for p, n in zip(spec.padding, spatial)))]
 
 
-def _weight_gemm(gyp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
-    """gw_t = gy @ x_phase[off_t: off_t + L]^T, summed over the batch."""
+def _weight_gemm(gp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
+    """gw_t = gy @ x_phase[off_t: off_t + L]^T, summed over the batch, from
+    gp = _pitched(gy)."""
+    gyp = gp[..., plan.lead: plan.lead + plan.L]
+    views = [xph[r][..., off: off + plan.L] for r, off in plan.taps]
     (B, O, L), C = gyp.shape, w.shape[1]
-    if _one_gemm(B, len(plan.taps), C, L, gyp.itemsize):
-        st = _stack(xph, plan).transpose(0, 2, 1)
+    if _one_gemm(B, len(views), C, L, gyp.itemsize):
+        st = _stack(views).transpose(0, 2, 1)
         return np.matmul(gyp, st).sum(axis=0, dtype=w.dtype).reshape(w.shape)
-    acc = np.zeros((len(plan.taps), O, C), dtype=w.dtype)
+    acc = np.zeros((len(views), O, C), dtype=w.dtype)
     tmp = np.empty((O, C), dtype=gyp.dtype)
     nb = min(L, _block_cols(B * O, B * C, gyp.itemsize))
     for a in range(0, L, nb):
         e = min(a + nb, L)
         for b in range(B):
             gb = gyp[b, :, a:e]
-            for t, (_, r, off) in enumerate(plan.taps):
-                acc[t] += np.matmul(gb, xph[r][b, :, off + a: off + e].T,
-                                    out=tmp)
+            for t, v in enumerate(views):
+                acc[t] += np.matmul(gb, v[b, :, a:e].T, out=tmp)
     return acc.transpose(1, 2, 0).reshape(w.shape)
 
 
@@ -355,7 +354,7 @@ def conv3d(x, p: LayerParams) -> np.ndarray:
     # Reserving the output before the temporaries keeps them from leaving
     # heap holes under it; its pages are first touched after they are freed.
     y = np.empty((B, spec.out_channels) + plan.out, dtype=x.dtype)
-    return np.add(_shift_gemm(_phases(x, spec, plan), p.weight, plan, x.dtype),
+    return np.add(_forward(_phases(x, spec, plan), p.weight, plan),
                   p.bias[None, :, None, None, None], out=y)
 
 
@@ -367,9 +366,9 @@ def conv3d_backward(x, p: LayerParams, grad_out):
     if grad_out.shape != (B, spec.out_channels) + plan.out:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match "
                          f"conv output {(B, spec.out_channels) + plan.out}")
-    gyp = _pitched(grad_out, plan)
-    gx = _scatter_gemm(gyp, p.weight, spec, plan, (D, H, W), x.dtype)
-    gw = _weight_gemm(gyp, _phases(x, spec, plan), plan, p.weight)
+    gp = _pitched(grad_out, plan)
+    gx = _adjoint(gp, p.weight, spec, plan, (D, H, W))
+    gw = _weight_gemm(gp, _phases(x, spec, plan), plan, p.weight)
     return np.ascontiguousarray(gx), gw, grad_out.sum(axis=(0, 2, 3, 4))
 
 
@@ -387,7 +386,7 @@ def tconv3d(x, p: LayerParams) -> np.ndarray:
     if min(out) < 1:
         raise ValueError(f"tconv output dims {out} must all be >= 1")
     plan = _tap_plan(spec, out)
-    y = _scatter_gemm(_pitched(x, plan), p.weight, spec, plan, out, x.dtype)
+    y = _adjoint(_pitched(x, plan), p.weight, spec, plan, out)
     return y + p.bias[None, :, None, None, None]
 
 
@@ -401,7 +400,7 @@ def tconv3d_backward(x, p: LayerParams, grad_out):
                          f"tconv output {(B, spec.out_channels) + out}")
     plan = _tap_plan(spec, out)
     gyph = _phases(grad_out, spec, plan)
-    gx = np.ascontiguousarray(_shift_gemm(gyph, p.weight, plan, x.dtype))
+    gx = np.ascontiguousarray(_forward(gyph, p.weight, plan))
     gw = _weight_gemm(_pitched(x, plan), gyph, plan, p.weight)
     return gx, gw, grad_out.sum(axis=(0, 2, 3, 4))
 

@@ -121,6 +121,7 @@ BAD_CONFIG_VALUES = [("lr", "0.1"), ("threshold", "0.5"),
                      ("dropout_rate", "0.1"), ("lr", True), ("seed", 1.5),
                      ("seed", True), ("seed", -1), ("seed", None),
                      ("epochs", "1"), ("epochs", 1.0), ("net", 1),
+                     ("net", "Lung"),
                      ("sample_dir", ["a"]), ("stage_channels", "2,4,8,16"),
                      ("stage_channels", [2, 4.0, 8, 16]),
                      ("input_geometry", [1, 32, 32, True])]

@@ -100,6 +100,9 @@ def test_mhd_load_rejects_malformed_headers(tmp_path):
     ("TransformMatrix = 1 0 0 0 1 0", "is not the identity"),
     ("ElementDataFile = LIST", "ElementDataFile = LIST not supported"),
     ("ElementDataFile = LOCAL", "ElementDataFile = LOCAL not supported"),
+    ("ElementSpacing = 0.7 0.7", "ElementSpacing = 0.7 0.7 must be 3 numbers"),
+    ("ElementSpacing = 1 1 x", "ElementSpacing = 1 1 x must be 3 numbers"),
+    ("Offset = 0 0 0 0", "Offset = 0 0 0 0 must be 3 numbers"),
 ])
 def test_mhd_load_rejects_keys_it_cannot_honour(tmp_path, line, message):
     base = ("NDims = 3\nDimSize = 1 1 2\nElementType = MET_UCHAR\n"

@@ -189,7 +189,7 @@ CONV_TABLE = [
      np.float64, False),
     ("up-2x2x2-s2-f32", "tconv", 3, 2, 2, 2, 1, 0, 1, (3, 3, 3), np.float32,
      False),
-    # "-blocks" rows span at least three column blocks of the GEMM loops,
+    # "-blocks" rows span at least three column blocks in each GEMM loop,
     # the last one partial (test_conv_block_rows_span_three_blocks)
     ("dilated-blocks", "conv", 4, 4, 3, 1, 2, 2, 1, (10, 40, 50), np.float64,
      False),
@@ -199,17 +199,17 @@ CONV_TABLE = [
      np.float64, True),
     ("lung-encoder-blocks-f32", "conv", 4, 4, 3, 2, 2, 2, 1, (24, 90, 90),
      np.float32, True),
-    ("up-2x2x2-s2-blocks", "tconv", 4, 3, 2, 2, 1, 0, 1, (10, 50, 60),
+    ("up-2x2x2-s2-blocks", "tconv", 8, 3, 2, 2, 1, 0, 1, (10, 60, 120),
      np.float64, False),
-    ("up-2x2x2-s2-blocks-f32", "tconv", 4, 3, 2, 2, 1, 0, 1, (10, 50, 60),
+    ("up-2x2x2-s2-blocks-f32", "tconv", 8, 3, 2, 2, 1, 0, 1, (10, 60, 120),
      np.float32, False),
     # thin-channel rows: the forward shift-GEMM stacks taps into groups, three
     # groups of 9 taps at one input channel, groups of 4 and a last group of
     # 3 at two; the tconv with one output channel stacks in its input
     # gradient
-    ("thin-c1-blocks", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 80),
+    ("thin-c1-blocks", "conv", 1, 2, 3, 1, 2, 2, 1, (14, 60, 80),
      np.float64, False),
-    ("thin-c1-blocks-f32", "conv", 1, 2, 3, 1, 2, 2, 1, (10, 60, 80),
+    ("thin-c1-blocks-f32", "conv", 1, 2, 3, 1, 2, 2, 1, (14, 60, 80),
      np.float32, False),
     ("thin-c2-blocks", "conv", 2, 3, 3, 1, 1, 1, 2, (8, 50, 60), np.float64,
      False),
@@ -219,7 +219,17 @@ CONV_TABLE = [
      np.float64, False),
     ("tconv-out1-blocks-f32", "tconv", 2, 1, 3, 1, 1, 1, 1, (12, 70, 80),
      np.float32, False),
-    # "-small" rows take the one-GEMM path in all three loops
+    # one conv output channel: the input gradient stacks taps, nine to a GEMM
+    ("out1-blocks", "conv", 8, 1, 3, 1, 1, 1, 1, (10, 50, 60), np.float64,
+     False),
+    ("out1-blocks-f32", "conv", 8, 1, 3, 1, 1, 1, 1, (10, 50, 60),
+     np.float32, False),
+    ("out1-dilated-blocks", "conv", 4, 1, 3, 1, 2, 2, 1, (10, 60, 80),
+     np.float64, False),
+    ("out1-dilated-blocks-f32", "conv", 4, 1, 3, 1, 2, 2, 1, (10, 60, 80),
+     np.float32, False),
+    # "-small" rows take the one-GEMM path in every loop, the input
+    # gradient's once per read phase
     # (test_conv_one_gemm_path_is_taken_by_small_rows_only)
     ("s1-small", "conv", 3, 4, 3, 1, 1, 1, 1, (5, 6, 7), np.float64, False),
     ("s1-small-f32", "conv", 3, 4, 3, 1, 1, 1, 1, (5, 6, 7), np.float32,
@@ -242,6 +252,14 @@ CONV_TABLE = [
     ("up-2x2x2-s2-small", "tconv", 3, 2, 2, 2, 1, 0, 2, (2, 2, 2),
      np.float64, False),
     ("up-2x2x2-s2-small-f32", "tconv", 3, 2, 2, 2, 1, 0, 2, (2, 2, 2),
+     np.float32, False),
+    ("out1-small", "conv", 8, 1, 3, 1, 1, 1, 1, (4, 5, 6), np.float64,
+     False),
+    ("out1-small-f32", "conv", 8, 1, 3, 1, 1, 1, 1, (4, 5, 6), np.float32,
+     False),
+    ("out1-dilated-small", "conv", 4, 1, 3, 1, 2, 2, 1, (5, 6, 7),
+     np.float64, False),
+    ("out1-dilated-small-f32", "conv", 4, 1, 3, 1, 2, 2, 1, (5, 6, 7),
      np.float32, False),
 ]
 
@@ -317,28 +335,31 @@ def test_conv_family_matches_direct_sum(row):
         assert not got[1][:, :, ~read].any()
 
 
+def _conv_plan(row):
+    """The conv plan of a CONV_TABLE row, with the conv's (O, C) channels."""
+    _, kind, ci, co, k, s, d, pad, _, dims, _, _ = row
+    spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
+    if kind == "conv":
+        return _tap_plan(spec, dims), co, ci
+    return _tap_plan(spec, spec.tconv_out_dims(dims)), ci, co
+
+
 @pytest.mark.parametrize("row", [r for r in CONV_TABLE if "-blocks" in r[0]],
                          ids=lambda r: r[0])
 def test_conv_block_rows_span_three_blocks(row):
-    """The three GEMM loops of each "-blocks" row run over at least three
-    column blocks, and the last block is partial."""
-    label, kind, ci, co, k, s, d, pad, batch, dims, dtype, _ = row
-    spec = ConvSpec(ci, co, kernel=k, stride=s, dilation=d, padding=pad)
-    # conv: the forward shifts into L output columns, the input gradient
-    # scatters into the phases and the weight gradient sums over the L
-    # columns of gy and the phase slices; tconv swaps the first two loops and
-    # the channel roles
-    if kind == "conv":
-        plan, shift_rows, scatter_rows = _tap_plan(spec, dims), co, ci
-    else:
-        plan = _tap_plan(spec, spec.tconv_out_dims(dims))
-        shift_rows, scatter_rows = ci, co
+    """Each GEMM loop of a "-blocks" row runs over at least three column
+    blocks, and the last block is partial: the forward shift-GEMM and the
+    weight gradient over the L pitched columns, and the input gradient over
+    the span of each read phase."""
+    label, batch, dtype = row[0], row[8], row[10]
+    plan, O, C = _conv_plan(row)
     size = np.dtype(dtype).itemsize
-    # the shift-GEMM's input rows are its stacked operand's
-    g = _tap_group(scatter_rows, shift_rows)
-    for cols, acc, inp in ((plan.L, shift_rows, g * scatter_rows),
-                           (int(np.prod(plan.M)), scatter_rows, shift_rows),
-                           (plan.L, shift_rows, scatter_rows)):
+    # (columns, accumulator rows, input rows); the shift-GEMM's input rows
+    # are its stacked operand's, the weight gradient's are the phase slices'
+    loops = [(plan.L, O, _tap_group(C, O) * C), (plan.L, O, C)]
+    loops += [(e - a, C, _tap_group(O, C) * O)
+              for _, _, a, e, _ in plan.reads]
+    for cols, acc, inp in loops:
         nb = _block_cols(batch * acc, batch * inp, size)
         assert cols > 2 * nb and cols % nb, (label, cols, nb)
 
@@ -347,8 +368,9 @@ def test_conv_block_rows_span_three_blocks(row):
     "row", [r for r in CONV_TABLE if "-small" in r[0] or "-blocks" in r[0]],
     ids=lambda r: r[0])
 def test_conv_one_gemm_path_is_taken_by_small_rows_only(row, monkeypatch):
-    """The forward and both backward loops of a "-small" row each decide for
-    the one-GEMM path and run one GEMM; no "-blocks" row takes it."""
+    """The forward and the weight gradient decide once for or against the
+    one-GEMM path, and the input gradient once per read phase. Every decision
+    of a "-small" row takes it and runs one GEMM; no "-blocks" row takes it."""
     fwd, bwd, x, p, gy = _row_case(row)
     rule, real_rule = [], ops._one_gemm
     gemms, real_matmul = [], np.matmul
@@ -367,8 +389,8 @@ def test_conv_one_gemm_path_is_taken_by_small_rows_only(row, monkeypatch):
     bwd(x, p, gy)
     monkeypatch.undo()
     small = "-small" in row[0]
-    assert rule == [small] * 3, rule
-    assert (len(gemms) == 3) == small, gemms
+    assert rule == [small] * (2 + len(_conv_plan(row)[0].reads)), rule
+    assert (len(gemms) == len(rule)) == small, gemms
 
 
 def test_phases_match_np_pad_byte_for_byte():

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def _dir_bytes(root):
     for dirpath, _, files in os.walk(root):
         for f in files:
             full = os.path.join(dirpath, f)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
