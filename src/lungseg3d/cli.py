@@ -235,6 +235,12 @@ def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
 
 
 def _cmd_preprocess(args, cfg: RunConfig) -> int:
+    if len(args.target) != 2 or min(args.target) < 1:
+        raise UsageError(f"--target must be 2 positive ints h,w, got "
+                         f"{','.join(map(str, args.target))}")
+    if args.center is not None and len(args.center) != 3:
+        raise UsageError(f"--center must be 3 ints d,h,w, got "
+                         f"{','.join(map(str, args.center))}")
     if cfg.net == "lung":
         data.preprocess_lung(args.image, args.mask, args.out, args.sample_id,
                              target=tuple(args.target))

@@ -72,13 +72,17 @@ def _is_identity(matrix: str) -> bool:
         return False
 
 
-def _three_numbers(fields: dict, key: str, default: str) -> tuple:
+def _three_numbers(fields: dict, key: str, default: str,
+                   positive: bool = False) -> tuple:
     try:
         vals = tuple(float(v) for v in fields.get(key, default).split())
     except ValueError:
         vals = ()
     if len(vals) != 3:
         raise ValueError(f"{key} = {fields[key]} must be 3 numbers")
+    if not np.isfinite(vals).all() or (positive and min(vals) <= 0):
+        rule = "finite and > 0" if positive else "finite"
+        raise ValueError(f"{key} = {fields[key]} must be {rule}")
     return vals
 
 
@@ -123,6 +127,8 @@ def load_mhd(header_path):
     if not _is_identity(fields.get("TransformMatrix", "1 0 0 0 1 0 0 0 1")):
         raise ValueError(f"TransformMatrix = {fields['TransformMatrix']} is "
                          f"not the identity")
+    spacing = _three_numbers(fields, "ElementSpacing", "1 1 1", positive=True)
+    origin = _three_numbers(fields, "Offset", "0 0 0")
 
     raw_path = os.path.join(os.path.dirname(header_path),
                             fields["ElementDataFile"])
@@ -133,9 +139,6 @@ def load_mhd(header_path):
         raise ValueError(f"raw file holds {size} bytes, header implies {expected}")
     buf = np.fromfile(raw_path, dtype=dt)
     vol = buf.reshape(d, h, w).astype(np.float32)
-
-    spacing = _three_numbers(fields, "ElementSpacing", "1 1 1")
-    origin = _three_numbers(fields, "Offset", "0 0 0")
     meta = MhdMeta(spacing=spacing, origin=origin, element_type=etype)
     return Tensor5(vol[None, None]), meta
 

@@ -4,11 +4,10 @@ The oracle is central differences in f64. Each check builds a micro
 instance of an op, block, or network, projects its output to a scalar with a
 fixed random weighting, backprops analytically, and compares against numeric
 derivatives element by element (or over sampled coordinates for the full
-networks). Op, loss and block checks are rows of one table run by one
-runner; dropout and the two networks have their own functions.
+networks). Every check is a row of one table, run by one runner.
 
-The registry doubles as a coverage gate: the test suite fails if a tape op
-exists without a registered check.
+The table doubles as a coverage gate: the test suite fails if a tape op
+exists without a row that checks it.
 """
 from __future__ import annotations
 
@@ -130,31 +129,9 @@ def _rand(rng, shape):
     return rng.standard_normal(shape)
 
 
-def _check_tensors(op_name, loss_fn, tensors, tol, h, note=""):
-    """FD each (name, Var) against its tape gradient from one backward."""
-    ag.zero_grads([v for _, v in tensors])
-    loss = loss_fn()
-    ag.run_backward(loss)
-    reports = []
-    for name, var in tensors:
-        analytic = var.grad if var.grad is not None else np.zeros_like(var.data)
-
-        def f(_buf):
-            with ag.no_grad():
-                return float(loss_fn().data)
-
-        numeric = finite_diff_grad(f, var.data, h)
-        reports.append(compare_grads(op_name, name, analytic, numeric, tol,
-                                     note))
-    return reports
-
-
 # ---------------------------------------------------------------------------
-# Registry
+# Targets
 # ---------------------------------------------------------------------------
-
-CHECKS = {}
-DEFAULT_TOLS = {}
 
 # Tape op (autograd/losses function) -> gradcheck target covering it.
 TAPE_OP_TARGETS = {
@@ -188,20 +165,15 @@ BLOCK_TARGETS = ("residual_block", "attention_gate", "window_attention",
 NETWORK_TARGETS = ("lung_net", "nodule_net")
 
 
-def register(name: str, tol: float = TOL_DEFAULT):
-    def deco(fn):
-        CHECKS[name] = fn
-        DEFAULT_TOLS[name] = tol
-        return fn
-    return deco
-
-
 def all_targets():
     return sorted(CHECKS)
 
 
 def check_gradients(target: str, seed: int = 0, tol: float = None):
-    """Run one registered check (or 'all'); returns a list of GradReports."""
+    """Run one target's rows (or 'all'); returns a list of GradReports.
+
+    Each row checks at its own tolerance unless `tol` is given.
+    """
     if target == "all":
         reports = []
         for name in all_targets():
@@ -210,9 +182,8 @@ def check_gradients(target: str, seed: int = 0, tol: float = None):
     if target not in CHECKS:
         raise ValueError(f"unknown gradcheck target {target!r}; known: "
                          f"{', '.join(all_targets())}")
-    use_tol = DEFAULT_TOLS[target] if tol is None else tol
     try:
-        return CHECKS[target](seed, use_tol)
+        return CHECKS[target](seed, tol)
     except FloatingPointError as exc:
         raise FloatingPointError(f"gradcheck {target!r}: {exc}") from None
 
@@ -251,7 +222,7 @@ def oracle_selftest(seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# The check table: elementary op, loss and block checks as rows
+# The check table: every op, loss, block and network check as a row
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -262,6 +233,8 @@ class Row:
     block (if `build` is set), the checked inputs, the constants and the
     output projection. `call` gets them in the same order and must look its
     kernel up when it runs, so that a rebound module attribute is honoured.
+    With `sample` set, the runner probes that many coordinates drawn across
+    the checked tensors instead of every coordinate of each.
     """
 
     name: str                   # op name in the reports
@@ -269,9 +242,10 @@ class Row:
     inputs: tuple               # (tensor name, draw(rng)) per checked input
     call: Callable              # call([block,] *inputs, *consts) -> Var
     consts: tuple = ()          # draw(rng) per unchecked argument
-    build: Callable = None      # build(rng) -> block; its params are checked
+    build: Callable = None      # build(rng, seed) -> block; params checked
     h: float = H_SHALLOW
     tol: float = TOL_DEFAULT
+    sample: int = 0
     note: str = ""
 
     @property
@@ -301,7 +275,7 @@ def _off_kink(shape):
 
 def _run_row(row: Row, seed, tol):
     rng = np.random.default_rng([seed, *row.tag])
-    args = [row.build(rng)] if row.build else []
+    args = [row.build(rng, seed)] if row.build else []
     tensors = [(name, Var(draw(rng))) for name, draw in row.inputs]
     args += [v for _, v in tensors] + [draw(rng) for draw in row.consts]
     if row.build:
@@ -313,7 +287,66 @@ def _run_row(row: Row, seed, tol):
     if shape:  # a 0-d output is already the probe scalar
         r = _rand(rng, shape)
         loss_fn = lambda: _project(out(), r)
-    return _check_tensors(row.name, loss_fn, tensors, tol, row.h, row.note)
+    ag.zero_grads([v for _, v in tensors])
+    ag.run_backward(loss_fn())
+
+    def f(_buf):
+        with ag.no_grad():
+            return float(loss_fn().data)
+
+    if row.sample:
+        return _run_sampled(row, f, [v for _, v in tensors], seed, tol)
+    return [compare_grads(row.name, name, _grad(v),
+                          finite_diff_grad(f, v.data, row.h), tol, row.note)
+            for name, v in tensors]
+
+
+def _grad(var):
+    return var.grad if var.grad is not None else np.zeros_like(var.data)
+
+
+def _run_sampled(row: Row, f, params, seed, tol):
+    """Probe `row.sample` coordinates drawn across params by their sizes."""
+    rng = np.random.default_rng([seed, 0x5A])
+    sizes = np.array([p.data.size for p in params], dtype=np.float64)
+    probs = sizes / sizes.sum()
+    # Probe every coordinate at two step sizes.  On a smooth stretch the two
+    # estimates agree to truncation error; a pooling argmax flip or a ReLU
+    # crossing inside the probe window makes them disagree by the size of
+    # the slope jump.  Those coordinates are genuinely non-differentiable
+    # points of the sampled loss, where no difference scheme measures the
+    # analytic one-sided gradient, so they are resampled — the coordinate
+    # analogue of the op-level generators nudging inputs away from kinks.
+    picks, tried, skipped, attempts = {}, set(), 0, 0
+    while len(tried) - skipped < row.sample:
+        if attempts == 50 * row.sample:
+            raise FloatingPointError(f"{row.name}: could not find "
+                                     f"{row.sample} smooth coordinates to "
+                                     f"probe in {attempts} draws")
+        attempts += 1
+        ti = int(rng.choice(len(params), p=probs))
+        ci = int(rng.integers(params[ti].data.size))
+        if (ti, ci) in tried:
+            continue
+        tried.add((ti, ci))
+        data = params[ti].data
+        n1 = _probe(f, data, data.reshape(-1), ci, row.h)
+        n2 = _probe(f, data, data.reshape(-1), ci, row.h / 2)
+        if abs(n1 - n2) > max(ABS_FLOOR, (tol / 3.0) * max(abs(n1), abs(n2))):
+            skipped += 1
+        else:
+            picks.setdefault(ti, {})[ci] = n2
+
+    suffix = f", {skipped} kink probes resampled" if skipped else ""
+    reports = []
+    for ti in sorted(picks):
+        coords = sorted(picks[ti])
+        analytic = _grad(params[ti]).reshape(-1)[coords]
+        numeric = np.array([picks[ti][c] for c in coords])
+        reports.append(compare_grads(
+            row.name, params[ti].name, analytic, numeric, tol,
+            note=f"sampled {len(coords)} coords{suffix}"))
+    return reports
 
 
 def _conv_rows(target, op, tag, cases):
@@ -330,7 +363,7 @@ def _conv_rows(target, op, tag, cases):
     return rows
 
 
-def _window_attention(rng):
+def _window_attention(rng, _seed):
     block = WindowAttention3d("wa", 2, (2, 2, 2), rng, dtype=np.float64)
     block.gamma.data[...] = 0.7  # zero gamma would null the param grads
     return block
@@ -340,6 +373,27 @@ _X = (1, 2, 4, 4, 4)
 _X3 = (1, 2, 3, 3, 3)
 _P = (1, 1, 4, 4, 4)  # loss probabilities and mask
 _F64 = np.float64
+_MICRO = {"stage_channels": [2, 4, 8, 16], "input_geometry": (1, 16, 16, 16)}
+# Batch 4: the deepest stages collapse to one voxel per channel, and a batch
+# norm over fewer samples degenerates (one sample maps everything to its
+# offset; two behave like a sign function), leaving nothing but structurally
+# dead gradients to sample.  The probe scalar is a random projection of the
+# output probabilities: smooth everywhere, unlike the clamped cross-entropy,
+# whose clamp boundary is a kink that random init can land on.  The loss
+# backwards have their own checks.
+_NET_X = (4, 1, 16, 16, 16)
+
+
+def _lung_net(_rng, seed):
+    return build_network("lung", NetworkConfig(**_MICRO), seed, dtype=_F64)
+
+
+def _nodule_net(_rng, seed):
+    net = build_network("nodule", NetworkConfig(
+        **_MICRO, attn_window=(1, 1, 1), dropout_rate=0.0), seed, dtype=_F64)
+    net.attn.gamma.data[...] = 0.5  # zero gamma would null the attn grads
+    return net
+
 
 TABLE = (
     *_conv_rows("conv3d", "conv", 0xC0, (
@@ -367,6 +421,13 @@ TABLE = (
         lambda x: ag.softmax_lastdim(x)),
     Row("maxpool3d", (0xA3,), (("x", _normal((1, 2, 4, 4, 6))),),
         lambda x: ag.maxpool(x, (2, 2, 2))),
+    # A mask seed drawn as a constant keeps the mask fixed across probes.
+    Row("dropout[train]", (0xA4,), (("x", _normal(_X)),),
+        lambda x, s: ag.dropout(x, 0.3, "train", np.random.default_rng(s)),
+        consts=(lambda rng: rng.integers(2 ** 63),),
+        note="mask fixed via seeded rng"),
+    Row("dropout[eval]", (0xA5,), (("x", _normal(_X)),),
+        lambda x: ag.dropout(x, 0.3, "eval", None)),
     Row("concat", (0xA6,), (("a", _normal(_X3)),
                             ("b", _normal((1, 3, 3, 3, 3)))),
         lambda a, b: ag.concat(a, b)),
@@ -406,167 +467,40 @@ TABLE = (
         tol=1e-6),
     *(Row(f"residual_block[s{s}]", (0xE0, s), (("x", _normal(_X)),),
           lambda blk, x: blk.forward(x, "train"), h=H_DEEP,
-          build=lambda rng, s=s: ResidualBlock3d("rb", 2, 3, s, rng,
-                                                 dtype=_F64))
+          build=lambda rng, _, s=s: ResidualBlock3d("rb", 2, 3, s, rng,
+                                                    dtype=_F64))
       for s in (1, 2)),
     Row("attention_gate", (0xE1,),
         (("x_enc", _normal(_X)), ("g_dec", _normal((1, 3, 2, 2, 2)))),
         lambda blk, x, g: blk.forward(x, g), h=H_DEEP,
-        build=lambda rng: AttentionGate3d("gate", 2, 3, rng, dtype=_F64)),
+        build=lambda rng, _: AttentionGate3d("gate", 2, 3, rng, dtype=_F64)),
     Row("window_attention", (0xE2,), (("x", _normal(_X)),),
         lambda blk, x: blk.forward(x), build=_window_attention, h=H_DEEP),
     Row("conv_block", (0xE3,), (("x", _normal(_X)),),
         lambda blk, x: blk.forward(x, "train", None), h=H_DEEP,
-        build=lambda rng: DoubleConvBlock3d("cb", 2, 3, 0.0, rng, dtype=_F64),
+        build=lambda rng, _: DoubleConvBlock3d("cb", 2, 3, 0.0, rng,
+                                               dtype=_F64),
         note="dropout rate 0"),
+    # Whole networks need a small probe step: at h=1e-4 the loss along a deep
+    # parameter is no longer locally linear (curvature compounds through the
+    # batch-norm statistic chains), so central differences misreport the
+    # slope even though every constituent op and block verifies cleanly. The
+    # lung net is built from the residual blocks and gates that need H_DEEP
+    # themselves: at 1e-5 probes straddle ReLU kinks (enc4.conv2.weight and
+    # up4.weight fail at seed 2).
+    Row("lung_net", (0xF0,), (),
+        lambda net, x: net.forward(Var(x), "train"), consts=(_normal(_NET_X),),
+        build=_lung_net, h=H_DEEP, tol=TOL_NETWORK, sample=60),
+    Row("nodule_net", (0xF1,), (),
+        lambda net, x: net.forward(Var(x), "train"), consts=(_normal(_NET_X),),
+        build=_nodule_net, tol=TOL_NETWORK, sample=60),
 )
 
 
 def _run_target(target, seed, tol):
     return [rep for row in TABLE if row.target == target
-            for rep in _run_row(row, seed, tol)]
+            for rep in _run_row(row, seed, row.tol if tol is None else tol)]
 
 
-for _row in TABLE:
-    register(_row.target, _row.tol)(functools.partial(_run_target,
-                                                      _row.target))
-
-
-@register("dropout")
-def _check_dropout(seed, tol):
-    # Not a row: the eval case reuses the train case's projection.
-    rng = np.random.default_rng([seed, 0xA4])
-    xv = Var(_rand(rng, _X))
-    r = _rand(rng, _X)
-    rate = 0.3
-
-    def loss_fn():
-        # Same generator seed every call keeps the mask fixed across probes.
-        drop_rng = np.random.default_rng([seed, 0xA5])
-        return _project(ag.dropout(xv, rate, "train", drop_rng), r)
-
-    reports = _check_tensors("dropout[train]", loss_fn, [("x", xv)], tol,
-                             H_SHALLOW, note="mask fixed via seeded rng")
-    loss_eval = lambda: _project(ag.dropout(xv, rate, "eval", None), r)
-    reports.extend(_check_tensors("dropout[eval]", loss_eval, [("x", xv)],
-                                  tol, H_SHALLOW))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Whole-network sampled checks
-# ---------------------------------------------------------------------------
-
-# Whole networks need a small probe step: at h=1e-4 the loss along a deep
-# parameter is no longer locally linear (curvature compounds through the
-# batch-norm statistic chains), so central differences misreport the slope
-# even though every constituent op and block verifies cleanly. The lung net
-# is built from the residual blocks and gates that need H_DEEP themselves:
-# at 1e-5 probes straddle ReLU kinks (enc4.conv2.weight and up4.weight fail
-# at seed 2).
-H_NETWORK = {"lung": H_DEEP, "nodule": H_SHALLOW}
-
-
-def _sampled_network_check(op_name, net, loss_fn, seed, tol, h,
-                           n_coords: int = 60):
-    params = list(net.params())
-    ag.zero_grads(params)
-    loss = loss_fn()
-    ag.run_backward(loss)
-
-    rng = np.random.default_rng([seed, 0x5A])
-    sizes = np.array([p.data.size for p in params], dtype=np.float64)
-    probs = sizes / sizes.sum()
-
-    def f(_buf):
-        with ag.no_grad():
-            return float(loss_fn().data)
-
-    # Probe every coordinate at two step sizes.  On a smooth stretch the two
-    # estimates agree to truncation error; a pooling argmax flip or a ReLU
-    # crossing inside the probe window makes them disagree by the size of
-    # the slope jump.  Those coordinates are genuinely non-differentiable
-    # points of the sampled loss, where no difference scheme measures the
-    # analytic one-sided gradient, so they are resampled — the coordinate
-    # analogue of the op-level generators nudging inputs away from kinks.
-    picks = {}
-    accepted = 0
-    skipped = 0
-    tried = set()
-    attempts = 0
-    while accepted < n_coords:
-        attempts += 1
-        if attempts > 50 * n_coords:
-            raise RuntimeError(f"{op_name}: could not find {n_coords} "
-                               "smooth coordinates to probe")
-        ti = int(rng.choice(len(params), p=probs))
-        ci = int(rng.integers(params[ti].data.size))
-        if (ti, ci) in tried:
-            continue
-        tried.add((ti, ci))
-        var = params[ti]
-        flat = var.data.reshape(-1)
-        n1 = _probe(f, var.data, flat, ci, h)
-        n2 = _probe(f, var.data, flat, ci, h / 2)
-        guard = max(ABS_FLOOR, (tol / 3.0) * max(abs(n1), abs(n2)))
-        if abs(n1 - n2) > guard:
-            skipped += 1
-            continue
-        picks.setdefault(ti, {})[ci] = n2
-        accepted += 1
-
-    suffix = f", {skipped} kink probes resampled" if skipped else ""
-    reports = []
-    for ti in sorted(picks):
-        var = params[ti]
-        analytic_full = (var.grad if var.grad is not None
-                         else np.zeros_like(var.data))
-        coords = sorted(picks[ti])
-        analytic = np.array([analytic_full.reshape(-1)[c] for c in coords])
-        numeric = np.array([picks[ti][c] for c in coords])
-        reports.append(compare_grads(
-            op_name, var.name, analytic, numeric, tol,
-            note=f"sampled {len(coords)} coords{suffix}"))
-    return reports
-
-
-
-
-def _half_gamma(net):
-    net.attn.gamma.data[...] = 0.5
-
-
-# kind -> (config, RNG tag, set-up of the freshly built net)
-NETWORKS = {
-    "lung": (NetworkConfig(stage_channels=[2, 4, 8, 16],
-                           input_geometry=(1, 16, 16, 16)), 0xF0, None),
-    "nodule": (NetworkConfig(stage_channels=[2, 4, 8, 16],
-                             input_geometry=(1, 16, 16, 16),
-                             attn_window=(1, 1, 1), dropout_rate=0.0),
-               0xF1, _half_gamma),
-}
-
-
-def _check_network(kind, seed, tol):
-    config, tag, setup = NETWORKS[kind]
-    net = build_network(kind, config, seed, dtype=np.float64)
-    if setup is not None:
-        setup(net)
-    rng = np.random.default_rng([seed, tag])
-    # Batch 4: the deepest stages collapse to one voxel per channel, and a
-    # batch norm over fewer samples degenerates (one sample maps everything
-    # to its offset; two behave like a sign function), leaving nothing but
-    # structurally dead gradients to sample.  The probe scalar is a random
-    # projection of the output probabilities: smooth everywhere, unlike the
-    # clamped cross-entropy, whose clamp boundary is a kink that random
-    # init can land on.  The loss backwards have their own checks.
-    xv = Var(_rand(rng, (4, 1, 16, 16, 16)))
-    r = _rand(rng, (4, 1, 16, 16, 16))
-    loss_fn = lambda: _project(net.forward(xv, "train"), r)
-    return _sampled_network_check(f"{kind}_net", net, loss_fn, seed, tol,
-                                  H_NETWORK[kind])
-
-
-for _kind in NETWORKS:
-    register(f"{_kind}_net", TOL_NETWORK)(functools.partial(_check_network,
-                                                            _kind))
+CHECKS = {row.target: functools.partial(_run_target, row.target)
+          for row in TABLE}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,13 +120,7 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
             tensors[fname] = {"file": fname, "role": role}
     manifest = {
         "kind": state.kind,
-        "config": {
-            "stage_channels": state.config.stage_channels,
-            "input_geometry": list(state.config.input_geometry),
-            "attn_window": list(state.config.attn_window),
-            "dropout_rate": state.config.dropout_rate,
-            "output_channels": state.config.output_channels,
-        },
+        "config": asdict(state.config),
         "adam": {"lr": state.adam.lr, "beta1": state.adam.beta1,
                  "beta2": state.adam.beta2, "eps": state.adam.eps,
                  "t": state.adam.t},
@@ -149,10 +143,10 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         "best_val_dice": NUMBER, "config": OBJECT, "adam": OBJECT,
         "tensors": OBJECT})
     where = f"checkpoint manifest {path}"
-    cfg = check_keys(manifest["config"], f"{where} 'config'", {
-        "stage_channels": INTEGERS, "input_geometry": INTEGERS,
-        "attn_window": INTEGERS, "dropout_rate": NUMBER,
-        "output_channels": INTEGER})
+    config_keys = {"stage_channels": INTEGERS, "input_geometry": INTEGERS,
+                   "attn_window": INTEGERS, "dropout_rate": NUMBER,
+                   "output_channels": INTEGER}
+    cfg = check_keys(manifest["config"], f"{where} 'config'", config_keys)
     a = check_keys(manifest["adam"], f"{where} 'adam'", {
         "lr": NUMBER, "beta1": NUMBER, "beta2": NUMBER, "eps": NUMBER,
         "t": INTEGER})
@@ -161,11 +155,7 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         check_keys(entry, f"{where} tensor {name!r}",
                    {"file": STRING, "role": STRING})
         tensors[name] = (entry["file"], entry["role"])
-    config = NetworkConfig(stage_channels=cfg["stage_channels"],
-                           input_geometry=tuple(cfg["input_geometry"]),
-                           attn_window=tuple(cfg["attn_window"]),
-                           dropout_rate=cfg["dropout_rate"],
-                           output_channels=cfg["output_channels"])
+    config = NetworkConfig(**{key: cfg[key] for key in config_keys})
     adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
                      eps=a["eps"], t=a["t"])
     kind, seed = manifest["kind"], manifest["seed"]

@@ -185,6 +185,26 @@ def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
     assert not run.exists()
 
 
+@pytest.mark.parametrize("net,flag,value,message", [
+    ("lung", "--target", "300",
+     "--target must be 2 positive ints h,w, got 300"),
+    ("lung", "--target", "64,64,7",
+     "--target must be 2 positive ints h,w, got 64,64,7"),
+    ("lung", "--target", "0,64",
+     "--target must be 2 positive ints h,w, got 0,64"),
+    ("nodule", "--center", "1,2", "--center must be 3 ints d,h,w, got 1,2"),
+])
+def test_bad_preprocess_geometry_stops_before_reading(tmp_path, capsys, net,
+                                                      flag, value, message):
+    # the volumes do not exist: the flag is refused before they are read
+    assert main(["preprocess", "--net", net,
+                 "--image", str(tmp_path / "i.mhd"),
+                 "--mask", str(tmp_path / "m.mhd"), "--out", str(tmp_path),
+                 "--id", "a", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+
+
 def test_negative_seed_flag_is_one_line_error(capsys):
     assert main(["gradcheck", "--target", "relu", "--seed", "-1"]) == 1
     captured = capsys.readouterr()

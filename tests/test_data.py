@@ -103,6 +103,13 @@ def test_mhd_load_rejects_malformed_headers(tmp_path):
     ("ElementSpacing = 0.7 0.7", "ElementSpacing = 0.7 0.7 must be 3 numbers"),
     ("ElementSpacing = 1 1 x", "ElementSpacing = 1 1 x must be 3 numbers"),
     ("Offset = 0 0 0 0", "Offset = 0 0 0 0 must be 3 numbers"),
+    ("ElementSpacing = nan 1 1",
+     "ElementSpacing = nan 1 1 must be finite and > 0"),
+    ("ElementSpacing = 1 0 1",
+     "ElementSpacing = 1 0 1 must be finite and > 0"),
+    ("ElementSpacing = 1 -1 1",
+     "ElementSpacing = 1 -1 1 must be finite and > 0"),
+    ("Offset = inf 0 0", "Offset = inf 0 0 must be finite"),
 ])
 def test_mhd_load_rejects_keys_it_cannot_honour(tmp_path, line, message):
     base = ("NDims = 3\nDimSize = 1 1 2\nElementType = MET_UCHAR\n"

@@ -1,15 +1,18 @@
 """The finite-difference certification harness must itself be trustworthy."""
 
+import functools
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lungseg3d import autograd, losses, ops
-from lungseg3d.gradcheck import (ABS_FLOOR, BLOCK_TARGETS, CHECKS,
-                                 NETWORK_TARGETS, NETWORKS, TABLE,
-                                 TAPE_OP_TARGETS, all_targets,
-                                 check_gradients, compare_grads,
+from lungseg3d import autograd, gradcheck, losses, ops
+from lungseg3d.autograd import Var
+from lungseg3d.cli import main
+from lungseg3d.gradcheck import (ABS_FLOOR, BLOCK_TARGETS, CHECKS, H_SHALLOW,
+                                 NETWORK_TARGETS, TABLE, TAPE_OP_TARGETS, Row,
+                                 all_targets, check_gradients, compare_grads,
                                  finite_diff_grad, oracle_selftest)
 
 # autograd module functions that build/drive the graph rather than
@@ -106,7 +109,7 @@ def test_lung_net_check_passes_at_seeds_1_and_2(seed):
 
 
 def test_rng_tags_are_pairwise_distinct():
-    tags = [row.tag for row in TABLE] + [(t,) for _, t, _ in NETWORKS.values()]
+    tags = [row.tag for row in TABLE]
     assert len(set(tags)) == len(tags)
     # a trailing zero word (within the 4-word pool) does not change a
     # SeedSequence, so distinct tags can still share a stream: compare both
@@ -127,6 +130,12 @@ def _no_batch_stat_feedback(orig):
     return wrong
 
 
+def _no_keep_mask(orig):
+    def wrong(keep, rate, g):
+        return orig(None, rate, g)
+    return wrong
+
+
 @pytest.mark.parametrize("kernel,wrap,target,failing", [
     ("relu_backward", lambda orig: lambda x, g: g * (x < 0), "relu",
      {("relu", "x")}),
@@ -134,7 +143,8 @@ def _no_batch_stat_feedback(orig):
      {("conv3d[s1d1p1]", "weight"), ("conv3d[s2d2p2]", "weight")}),
     ("batchnorm3d_backward", _no_batch_stat_feedback, "batchnorm3d",
      {("batchnorm3d[train]", "x")}),
-], ids=["relu", "conv3d", "batchnorm3d"])
+    ("dropout_backward", _no_keep_mask, "dropout", {("dropout[train]", "x")}),
+], ids=["relu", "conv3d", "batchnorm3d", "dropout"])
 def test_wrong_backward_is_reported(monkeypatch, kernel, wrap, target,
                                     failing):
     # negative control through the table runner: a broken kernel must fail
@@ -142,3 +152,38 @@ def test_wrong_backward_is_reported(monkeypatch, kernel, wrap, target,
     monkeypatch.setattr(ops, kernel, wrap(getattr(ops, kernel)))
     reports = check_gradients(target, seed=0)
     assert {(r.op_name, r.tensor) for r in reports if not r.passed} == failing
+
+
+def _kinked_row(size, sample, calls):
+    """A sampled row whose every coordinate sits 0.75 h above a ReLU kink:
+    the probe at h crosses it and the probe at h/2 does not."""
+    w = Var(np.full(size, 0.75 * H_SHALLOW), name="w")
+    block = SimpleNamespace(params=lambda: [w])
+    return Row("kinked[all]", (0x7E,), (),
+               lambda blk: calls.append(1) or autograd.relu(w),
+               build=lambda rng, seed: block, tol=1e-3, sample=sample)
+
+
+@pytest.mark.parametrize("size,sample", [(1, 2), (1 << 16, 1), (1 << 16, 2)])
+def test_sampled_row_gives_up_after_50_draws_per_sample(size, sample):
+    # With one coordinate every draw after the first is a duplicate, and
+    # duplicates count towards the limit; at seed 0 the draws over 2**16
+    # coordinates are all distinct.
+    calls = []
+    with pytest.raises(FloatingPointError, match=r"^kinked\[all\]: .* "
+                       rf"in {50 * sample} draws$"):
+        gradcheck._run_row(_kinked_row(size, sample, calls), 0, 1e-3)
+    # two forwards for shape and backward, then four per distinct draw
+    distinct = min(size, 50 * sample)
+    assert len(calls) == 2 + 4 * distinct
+
+
+def test_sampled_row_that_gives_up_is_a_failed_check(monkeypatch, capsys):
+    row = _kinked_row(1, 1, [])
+    monkeypatch.setattr(gradcheck, "TABLE", TABLE + (row,))
+    monkeypatch.setitem(CHECKS, "kinked",
+                        functools.partial(gradcheck._run_target, "kinked"))
+    assert main(["gradcheck", "--target", "kinked"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: gradcheck 'kinked': kinked[all]: could not find 1 "
+                   "smooth coordinates to probe in 50 draws"]

@@ -196,8 +196,8 @@ def _prefixes(names):
 
 def _gc_net(kind):
     """A network as the gradcheck builds it."""
-    config, _, _ = gradcheck.NETWORKS[kind]
-    return build_network(kind, config, 0, dtype=np.float64)
+    row = next(r for r in gradcheck.TABLE if r.name == f"{kind}_net")
+    return row.build(None, 0)
 
 
 ENCODER = ["enc1", "enc2", "enc3", "enc4", "bottleneck"]
