@@ -9,7 +9,10 @@ gradient into Var.grad. Parameters are long-lived leaf Vars whose .data the
 optimizer updates in place.
 
 Inside a no_grad() block ops return detached Vars, so large inference
-forwards do not retain intermediate buffers.
+forwards do not retain intermediate buffers. There, batchnorm, relu and add
+(into b) write into their operand's array when the caller opts in with
+inplace=True, which only a caller that made that operand in this forward may
+do. By default no op writes into an operand: gradcheck's probes rely on it.
 """
 from __future__ import annotations
 
@@ -83,6 +86,11 @@ def accumulate(v: Var, g: np.ndarray):
         v.grad += g
 
 
+def _out(x: Var, inplace: bool):
+    """The `out=` of an op: x's array if opted in and not recording."""
+    return x.data if inplace and not _grad_enabled else None
+
+
 def from_op(out_data, parents, backward) -> Var:
     """Build a graph node, or a detached Var when recording is off.
 
@@ -154,15 +162,18 @@ def tconv(x: Var, w: Var, b: Var, spec: ConvSpec) -> Var:
                    lambda g: ops.tconv3d_backward(xd, p, g))
 
 
-def batchnorm(x: Var, gamma: Var, beta: Var, bn: BatchNormState, mode: str) -> Var:
-    y, cache = ops.batchnorm3d(x.data, gamma.data, beta.data, bn, mode)
+def batchnorm(x: Var, gamma: Var, beta: Var, bn: BatchNormState, mode: str,
+              inplace: bool = False) -> Var:
+    y, cache = ops.batchnorm3d(x.data, gamma.data, beta.data, bn, mode,
+                               out=_out(x, inplace))
     return from_op(y, (x, gamma, beta),
                    lambda g: ops.batchnorm3d_backward(cache, g))
 
 
-def relu(x: Var) -> Var:
+def relu(x: Var, inplace: bool = False) -> Var:
     xd = x.data
-    return from_op(ops.relu(xd), (x,), lambda g: ops.relu_backward(xd, g))
+    return from_op(ops.relu(xd, out=_out(x, inplace)), (x,),
+                   lambda g: ops.relu_backward(xd, g))
 
 
 def sigmoid(x: Var) -> Var:
@@ -210,10 +221,11 @@ def pad(x: Var, spec) -> Var:
                    lambda g: ops.pad3d_backward(spec, g))
 
 
-def add(a: Var, b: Var) -> Var:
+def add(a: Var, b: Var, inplace: bool = False) -> Var:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return from_op(a.data + b.data, (a, b), lambda g: (g, g))
+    return from_op(np.add(a.data, b.data, out=_out(b, inplace)), (a, b),
+                   lambda g: (g, g))
 
 
 def scale_by(x: Var, s: Var) -> Var:

@@ -8,6 +8,11 @@ no list to keep. Parameter names are hierarchical dotted strings so
 checkpoints can address every tensor individually. The same names key the
 `capture` hook, which reads layer and block outputs off an ordinary forward.
 
+Under no_grad, batchnorm, ReLU and the residual adds run in place. The rule
+at every `inplace=True`: an op writes only into an array its block made in
+this forward, never into the block input, the network input or a skip tap
+that is read later; so a BatchNorm3d is only handed its conv's fresh output.
+
 Initialization: fan-in scaled normal weights (gain 2 for the ReLU paths),
 zero biases, unit batchnorm gain, zero batchnorm offset, zero attention
 residual scale.
@@ -25,10 +30,12 @@ from .ops import BatchNormState, ConvSpec
 
 class capture:
     """`with capture("gate1.mask", "enc2") as got:` fills the dict `got`
-    with the last array recorded under each requested name. Every layer and
-    block records its output under its dotted name, attention gates their
-    mask as `<gate>.mask`, window attention its (B, N, T, T) weights as
-    `<attn>.weights`. A requested name left unrecorded raises KeyError."""
+    with a copy of the last array recorded under each requested name (a
+    later in-place op of a no_grad forward overwrites the array itself).
+    Every layer and block records its output under its dotted name,
+    attention gates their mask as `<gate>.mask`, window attention its
+    (B, N, T, T) weights as `<attn>.weights`. A requested name left
+    unrecorded raises KeyError."""
 
     def __init__(self, *names):
         self.names = frozenset(names)
@@ -54,7 +61,7 @@ _capture = None  # the innermost active capture
 
 def _record(name: str, v: Var) -> Var:
     if _capture is not None and name in _capture.names:
-        _capture.got[name] = v.data
+        _capture.got[name] = v.data.copy()
     return v
 
 
@@ -121,7 +128,8 @@ class TConv3d(Module):
 
 
 class BatchNorm3d(Module):
-    """Batchnorm layer: learnable gain/offset Vars plus running stats."""
+    """Batchnorm layer: learnable gain/offset Vars plus running stats. Under
+    no_grad it normalizes its input in place."""
 
     def __init__(self, name: str, channels: int, dtype=np.float32,
                  eps: float = 1e-5, momentum: float = 0.1):
@@ -135,7 +143,7 @@ class BatchNorm3d(Module):
 
     def __call__(self, x: Var, mode: str) -> Var:
         return _record(self.name, ag.batchnorm(x, self.gamma, self.beta,
-                                               self.state, mode))
+                                               self.state, mode, inplace=True))
 
 
 def _dilated3(c_in, c_out, stride=1):
@@ -169,10 +177,12 @@ class ResidualBlock3d(Module):
 
     def forward(self, x: Var, mode: str) -> Var:
         f = self.bn1(self.conv1(x), mode)
-        f = ag.relu(f)
+        f = ag.relu(f, inplace=True)
         f = self.bn2(self.conv2(f), mode)
         s = self.skip(x) if self.skip is not None else x
-        return _record(self.name, ag.relu(ag.add(s, f)))
+        # into the branch f, never into s, which may be the block input
+        return _record(self.name,
+                       ag.relu(ag.add(s, f, inplace=True), inplace=True))
 
 
 class AttentionGate3d(Module):
@@ -206,8 +216,9 @@ class AttentionGate3d(Module):
                 f"gating signal spatial {tuple(gs)} must be half of encoder "
                 f"feature spatial {tuple(xs)}")
         a = ag.relu(ag.add(self.enc_proj(x_enc),
-                           self.gate_up(self.gate_proj(g_dec))))
-        j = ag.relu(self.mix(a))
+                           self.gate_up(self.gate_proj(g_dec)), inplace=True),
+                    inplace=True)
+        j = ag.relu(self.mix(a), inplace=True)
         z0 = _record(f"{self.name}.mask", ag.sigmoid(self.mask_head(j)))
         return _record(self.name,
                        ag.channel_scale(self.input_proj(x_enc), z0))
@@ -243,8 +254,8 @@ class WindowAttention3d(Module):
         scores = ag.const_mul(ag.matmul_qk(q, k), 1.0 / math.sqrt(c))
         attn = _record(f"{self.name}.weights", ag.softmax_lastdim(scores))
         o = ag.fold(ag.matmul_av(attn, v), self.window, x.data.shape[2:])
-        return _record(self.name,
-                       ag.add(x, ag.scale_by(self.proj(o), self.gamma)))
+        return _record(self.name, ag.add(
+            x, ag.scale_by(self.proj(o), self.gamma), inplace=True))
 
 
 class DoubleConvBlock3d(Module):
@@ -263,8 +274,8 @@ class DoubleConvBlock3d(Module):
         self.bn2 = BatchNorm3d(f"{name}.bn2", c_out, dtype)
 
     def forward(self, x: Var, mode: str, rng=None) -> Var:
-        h = ag.relu(self.bn1(self.conv1(x), mode))
+        h = ag.relu(self.bn1(self.conv1(x), mode), inplace=True)
         h = ag.dropout(h, self.dropout_rate, mode, rng)
-        h = ag.relu(self.bn2(self.conv2(h), mode))
+        h = ag.relu(self.bn2(self.conv2(h), mode), inplace=True)
         return _record(self.name,
                        ag.dropout(h, self.dropout_rate, mode, rng))

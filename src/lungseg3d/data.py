@@ -86,6 +86,16 @@ def _three_numbers(fields: dict, key: str, default: str,
     return vals
 
 
+def _three_sizes(fields: dict, key: str) -> tuple:
+    try:
+        vals = tuple(int(v) for v in fields[key].split())
+    except ValueError:
+        vals = ()
+    if len(vals) != 3 or min(vals) < 1:
+        raise ValueError(f"{key} = {fields[key]} must be 3 positive ints")
+    return vals
+
+
 def load_mhd(header_path):
     """Read a MetaImage volume; returns ((1,1,D,H,W) Tensor5, MhdMeta)."""
     header_path = str(header_path)
@@ -103,12 +113,9 @@ def load_mhd(header_path):
     for req in ("NDims", "DimSize", "ElementType", "ElementDataFile"):
         if req not in fields:
             raise ValueError(f"header missing required key {req}")
-    if int(fields["NDims"]) != 3:
-        raise ValueError(f"only 3D volumes supported, NDims={fields['NDims']}")
-    dims = [int(v) for v in fields["DimSize"].split()]
-    if len(dims) != 3:
-        raise ValueError(f"DimSize must have 3 entries, got {fields['DimSize']!r}")
-    w, h, d = dims
+    if fields["NDims"] != "3":
+        raise ValueError(f"only 3D volumes supported, NDims = {fields['NDims']}")
+    w, h, d = _three_sizes(fields, "DimSize")
     etype = fields["ElementType"]
     if etype not in MET_TYPES:
         raise ValueError(f"unsupported ElementType {etype}")

@@ -137,19 +137,23 @@ class GatedResidualUNet3d(Module):
         spatial = x.data.shape[2:]
         pads = _pad_plan(spatial, DOWN_FACTOR)
         padded = any(lo + hi for lo, hi in pads)
-        xp = ag.pad(x, pads) if padded else x
-
-        e1 = self.enc1.forward(xp, mode)
-        e2 = self.enc2.forward(e1, mode)
-        e3 = self.enc3.forward(e2, mode)
-        e4 = self.enc4.forward(e3, mode)
-        state = self.bottleneck.forward(e4, mode)
-        for (upl, mixl, gate, dec), tap in zip(self.decoder, (e3, e2, e1, xp)):
+        # Only this list and the call in progress hold a tap or a decoder
+        # array: each goes once it is used, so a no_grad forward frees it
+        # before the next block runs. Taps run padded input, e1, e2, e3.
+        taps = [ag.pad(x, pads) if padded else x]
+        for enc in (self.enc1, self.enc2, self.enc3):
+            taps.append(enc.forward(taps[-1], mode))
+        state = self.bottleneck.forward(self.enc4.forward(taps[-1], mode),
+                                        mode)
+        for upl, mixl, gate, dec in self.decoder:
             d_i = mixl(upl(state))
-            a_i = gate.forward(tap, state)
-            state = dec.forward(ag.concat(a_i, d_i), mode)
+            a_i = gate.forward(taps.pop(), state)
+            state = ag.concat(a_i, d_i)
+            del a_i, d_i
+            state = dec.forward(state, mode)
 
         h = self.head(state)
+        del state
         if padded:
             h = ag.center_crop(h, spatial)
         h = self.post2(self.post1(h))
@@ -203,16 +207,18 @@ class WindowAttentionUNet3d(Module):
         if any(s % DOWN_FACTOR for s in spatial):
             raise ValueError(f"input spatial {tuple(spatial)} must be "
                              f"divisible by {DOWN_FACTOR}")
+        # skips is popped and h rebound as soon as each is used, so a
+        # no_grad forward frees them before the next block runs
         skips = []
         h = x
         for enc in (self.enc1, self.enc2, self.enc3, self.enc4):
-            s = enc.forward(h, mode, rng)
-            skips.append(s)
-            h = ag.maxpool(s, (2, 2, 2))
+            skips.append(enc.forward(h, mode, rng))
+            h = ag.maxpool(skips[-1], (2, 2, 2))
         h = self.bottleneck.forward(h, mode, rng)
         h = self.attn.forward(h)
-        for (upl, dec), skip in zip(self.decoder, reversed(skips)):
-            h = dec.forward(ag.concat(skip, upl(h)), mode, rng)
+        for upl, dec in self.decoder:
+            h = ag.concat(skips.pop(), upl(h))
+            h = dec.forward(h, mode, rng)
         return ag.sigmoid(self.head(h))
 
 

@@ -452,12 +452,15 @@ def _ch(v):
     return v[None, :, None, None, None]
 
 
-def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
+def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str,
+                out=None):
     """Per-channel batch normalization y = gamma * xhat + beta; returns
     (y, cache).
 
     Train mode normalizes by batch statistics over (B, D, H, W) and updates
     the running stats in place; eval mode normalizes by the running stats.
+    With `out` (NumPy-style) both xhat and y are written there, so the
+    cache then holds y.
     """
     C = x.shape[1]
     if gamma.shape[0] != C:
@@ -477,11 +480,11 @@ def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # (x - mu) * invstd and gamma * xhat + beta in place, one full-size
-    # array each; the operations and their order are those of the
-    # expressions, so the bytes are too
-    xhat = np.subtract(x, _ch(mu))
+    # array each (or both in out); the operations and their order are those
+    # of the expressions, so the bytes are too
+    xhat = np.subtract(x, _ch(mu), out=out)
     xhat *= _ch(invstd)
-    y = np.multiply(_ch(gamma), xhat)
+    y = np.multiply(_ch(gamma), xhat, out=out)
     y += _ch(beta)
     cache = (xhat, invstd, gamma, mode)
     return y, cache
@@ -507,8 +510,8 @@ def batchnorm3d_backward(cache, grad_out):
 # Activations, softmax, dropout
 # ---------------------------------------------------------------------------
 
-def relu(x):
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x, grad_out):

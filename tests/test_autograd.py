@@ -269,6 +269,45 @@ def test_batchnorm_op_routes_gamma_beta():
     assert gamma.grad.shape == (2,) and x.grad.shape == x.shape
 
 
+def _bn_args(rng, mode):
+    from lungseg3d.ops import BatchNormState
+    bn = BatchNormState(running_mean=rng.normal(size=2),
+                        running_var=rng.uniform(0.5, 2.0, 2))
+    return (_var(rng, (2, 2, 3, 3, 3)), _var(rng, (2,)), _var(rng, (2,)), bn,
+            mode)
+
+
+IN_PLACE_OPS = {
+    "add": lambda rng: (_var(rng, (1, 2, 3, 3, 3)), _var(rng, (1, 2, 3, 3, 3))),
+    "relu": lambda rng: (_var(rng, (1, 2, 3, 3, 3)),),
+    "batchnorm[train]": lambda rng: _bn_args(rng, "train"),
+    "batchnorm[eval]": lambda rng: _bn_args(rng, "eval"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(IN_PLACE_OPS))
+def test_ops_write_into_an_operand_only_when_opted_in_under_no_grad(op):
+    # gradcheck's finite-difference probes call these ops under no_grad on
+    # the check's own tensors, so by default no operand may change
+    fn = getattr(ag, op.split("[")[0])
+    rng = np.random.default_rng(11)
+    args = IN_PLACE_OPS[op](rng)
+    target = args[1] if op == "add" else args[0]   # add writes into b
+    vars_ = [a for a in args if isinstance(a, Var)]
+    before = [v.data.copy() for v in vars_]
+    kept = lambda: all(v.data.tobytes() == b.tobytes()
+                       for v, b in zip(vars_, before))
+    with ag.no_grad():
+        y = fn(*args)
+    assert kept() and not np.shares_memory(y.data, target.data)
+    y = fn(*args, inplace=True)   # recording on: the opt-in is ignored
+    assert kept() and not np.shares_memory(y.data, target.data)
+    with ag.no_grad():
+        z = fn(*args, inplace=True)
+    assert z.data is target.data
+    assert z.data.tobytes() == y.data.tobytes()
+
+
 def test_maxpool_and_dropout_ops():
     rng = np.random.default_rng(8)
     x = _var(rng, (1, 1, 4, 4, 4))

@@ -110,6 +110,12 @@ def test_mhd_load_rejects_malformed_headers(tmp_path):
     ("ElementSpacing = 1 -1 1",
      "ElementSpacing = 1 -1 1 must be finite and > 0"),
     ("Offset = inf 0 0", "Offset = inf 0 0 must be finite"),
+    ("DimSize = -44 -40 30", "DimSize = -44 -40 30 must be 3 positive ints"),
+    ("DimSize = 44 -40 30", "DimSize = 44 -40 30 must be 3 positive ints"),
+    ("DimSize = 0 40 30", "DimSize = 0 40 30 must be 3 positive ints"),
+    ("DimSize = 44 40 x", "DimSize = 44 40 x must be 3 positive ints"),
+    ("DimSize = 44 40", "DimSize = 44 40 must be 3 positive ints"),
+    ("NDims = x", "only 3D volumes supported, NDims = x"),
 ])
 def test_mhd_load_rejects_keys_it_cannot_honour(tmp_path, line, message):
     base = ("NDims = 3\nDimSize = 1 1 2\nElementType = MET_UCHAR\n"

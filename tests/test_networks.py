@@ -1,10 +1,12 @@
 """Network assemblies: geometry contracts, determinism, config validation."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from lungseg3d import autograd as ag
-from lungseg3d import gradcheck
+from lungseg3d import blocks, gradcheck
 from lungseg3d.autograd import Var
 from lungseg3d.blocks import (AttentionGate3d, DoubleConvBlock3d,
                               ResidualBlock3d, WindowAttention3d, capture)
@@ -294,6 +296,93 @@ def test_capture_leaves_forward_unchanged(kind, shape, names):
     with pytest.raises(KeyError, match="no.such"):
         with capture("no.such"):
             net.forward(x, "eval")
+
+
+# ---------------------------------------------------------------------------
+# no_grad forwards run batchnorm, ReLU and the residual adds in place
+# ---------------------------------------------------------------------------
+
+DESK = [8, 16, 32, 64]
+
+
+def _desk_net(kind, spatial, seed=4):
+    """A desk-width net with batchnorm stats and affine terms drawn away
+    from their init, so eval batchnorm is no plain rescale."""
+    cfg = NetworkConfig(stage_channels=DESK, input_geometry=(1,) + spatial)
+    net = build_network(kind, cfg, seed)
+    rng = np.random.default_rng([seed, 0xB4])
+    for bn in net.batchnorms():
+        c = bn.gamma.data.shape
+        bn.state.running_mean = rng.normal(0, 0.5, c).astype(np.float32)
+        bn.state.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+        bn.beta.data[...] = rng.normal(0, 0.2, c)
+    if kind == "nodule":
+        net.attn.gamma.data[...] = 0.7
+    x = rng.standard_normal((1, 1) + spatial).astype(np.float32)
+    return net, x
+
+
+def _forward(net, x, mode, grad):
+    """Output of one forward; the nodule net's dropout is reseeded for each
+    call so both sides drop the same voxels."""
+    with nullcontext() if grad else ag.no_grad():
+        return net.forward(Var(x), mode, np.random.default_rng(5)).data
+
+
+@pytest.mark.parametrize("kind,spatial,mode", [
+    ("lung", (16, 64, 64), "eval"),
+    ("lung", (13, 37, 41), "eval"),     # odd: padded and cropped
+    ("lung", (13, 37, 41), "train"),
+    ("nodule", (32, 32, 32), "eval"),
+    ("nodule", (32, 32, 32), "train"),
+])
+def test_no_grad_forward_is_byte_identical_to_the_recorded_one(kind, spatial,
+                                                               mode):
+    net, x = _desk_net(kind, spatial)
+    before = x.copy()
+    recorded = _forward(net, x, mode, grad=True)
+    assert np.array_equal(x, before)
+    in_place = _forward(net, x, mode, grad=False)
+    assert in_place.tobytes() == recorded.tobytes()
+    assert x.tobytes() == before.tobytes()   # the caller's input is untouched
+
+
+def _recorded_names(net, x):
+    names = []
+    orig = blocks._record
+    blocks._record = lambda name, v: names.append(name) or orig(name, v)
+    try:
+        _forward(net, x, "eval", grad=False)
+    finally:
+        blocks._record = orig
+    return names
+
+
+@pytest.mark.parametrize("kind,spatial", [
+    ("lung", (13, 37, 41)), ("nodule", (32, 32, 32))], ids=["lung", "nodule"])
+def test_capture_under_no_grad_returns_the_recorded_bytes(kind, spatial):
+    # A later in-place op overwrites the array a layer recorded (the ReLU
+    # after enc1.bn1, the batchnorm after dec1.conv1); capture keeps a copy.
+    net, x = _desk_net(kind, spatial)
+    names = _recorded_names(net, x)
+    assert {"enc1.bn1", "dec1.conv1", "enc1", "head"} <= set(names)
+    with capture(*names) as recorded:
+        _forward(net, x, "eval", grad=True)
+    with capture(*names) as in_place:
+        _forward(net, x, "eval", grad=False)
+    changed = [n for n in names
+               if in_place[n].tobytes() != recorded[n].tobytes()]
+    assert changed == []
+
+
+def test_predict_volume_leaves_its_volume_unchanged():
+    net, x = _desk_net("lung", (13, 37, 41))
+    before = x.copy()
+    mask = predict_volume(net, x)
+    assert x.tobytes() == before.tobytes()
+    prob = _forward(net, before, "eval", grad=True)
+    assert np.array_equal(mask.data, (prob >= 0.5).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
