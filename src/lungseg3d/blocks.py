@@ -131,15 +131,13 @@ class BatchNorm3d(Module):
     """Batchnorm layer: learnable gain/offset Vars plus running stats. Under
     no_grad it normalizes its input in place."""
 
-    def __init__(self, name: str, channels: int, dtype=np.float32,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, name: str, channels: int, dtype=np.float32):
         self.name = name
         self.gamma = Var(np.ones(channels, dtype=dtype), name=f"{name}.gamma")
         self.beta = Var(np.zeros(channels, dtype=dtype), name=f"{name}.beta")
         self.state = BatchNormState(
             running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-            eps=eps, momentum=momentum)
+            running_var=np.ones(channels, dtype=dtype))
 
     def __call__(self, x: Var, mode: str) -> Var:
         return _record(self.name, ag.batchnorm(x, self.gamma, self.beta,

@@ -118,9 +118,10 @@ def _echo(cfg: RunConfig, command: str) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seed: bool = False):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> _Parser:
@@ -129,13 +130,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", parents=[], help="finite-difference checks")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--target", default="all",
                    help="op/block/network name or 'all'")
-    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("phantom-gen", help="generate synthetic samples")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--kind", choices=("nodule", "lung"), required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--dims", type=_int_list, default=[32, 32, 32])
@@ -154,13 +154,13 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=_int_list, default=[300, 300])
 
     p = sub.add_parser("split", help="60-20-20 manifest from sample ids")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--sample-dir", default=None)
     p.add_argument("--ids", default=None, help="comma-separated ids")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a network")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--net", choices=NETS, default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--sample-dir", default=None, dest="sample_dir")
@@ -215,8 +215,7 @@ def _cmd_gradcheck(args, cfg: RunConfig) -> int:
     for rep in reports:
         if not rep.passed:
             raise ValueError(f"oracle self-test failed: {rep.as_dict()}")
-    reports = gradcheck.check_gradients(args.target, seed=cfg.seed,
-                                        tol=args.tol)
+    reports = gradcheck.check_gradients(args.target, seed=cfg.seed)
     print(json.dumps([r.as_dict() for r in reports], indent=1))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -241,6 +240,8 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
     if args.center is not None and len(args.center) != 3:
         raise UsageError(f"--center must be 3 ints d,h,w, got "
                          f"{','.join(map(str, args.center))}")
+    if args.size < 1:
+        raise UsageError(f"--size must be a positive int, got {args.size}")
     if cfg.net == "lung":
         data.preprocess_lung(args.image, args.mask, args.out, args.sample_id,
                              target=tuple(args.target))

@@ -4,10 +4,10 @@ MetaImage volumes (.mhd ASCII header + little-endian .raw buffer) are read
 into (1, 1, D, H, W) tensors; the header's DimSize is ordered W H D. A
 header that asks for compressed data, a skipped header block, a list of
 data files or a non-identity orientation is refused rather than misread. The
-preprocessing chain mirrors a standard lung-CT setup: in-plane resize,
-median-centered slice crop, intensity windowing, and fixed-size nodule
-blocks. Phantoms provide deterministic desk-scale stand-ins with masks known
-in closed form.
+preprocessing chain mirrors a standard lung-CT setup: median-centered slice
+crop, in-plane resize, intensity windowing, and fixed-size nodule blocks.
+Phantoms provide deterministic desk-scale stand-ins with masks known in
+closed form.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ MET_TYPES = {
 }
 
 HU_WINDOW = (-1000.0, 400.0)
+HALF_EXTENT = 11  # a lung sample keeps 2 * 11 + 1 = 23 slices
 
 
 @dataclass
@@ -229,15 +230,15 @@ def resize_inplane(arr: np.ndarray, target, kind: str = "linear"):
     return np.ascontiguousarray(out)
 
 
-def crop_about_median(arr: np.ndarray, half_extent: int = 11):
-    """Keep half_extent slices on each side of the median slice."""
+def crop_about_median(arr: np.ndarray):
+    """Keep HALF_EXTENT slices on each side of the median slice."""
     D = arr.shape[2]
-    need = 2 * half_extent + 1
+    need = 2 * HALF_EXTENT + 1
     if D < need:
         raise ValueError(f"volume has {D} slices, need at least {need}")
     med = (D - 1) // 2
-    lo = med - half_extent
-    return np.ascontiguousarray(arr[:, :, lo: med + half_extent + 1])
+    lo = med - HALF_EXTENT
+    return np.ascontiguousarray(arr[:, :, lo: med + HALF_EXTENT + 1])
 
 
 def crop_nodule_block(arr: np.ndarray, center_voxel, size: int = 64):
@@ -266,11 +267,9 @@ def crop_nodule_block(arr: np.ndarray, center_voxel, size: int = 64):
     return out
 
 
-def window_intensity(arr: np.ndarray, lo: float = HU_WINDOW[0],
-                     hi: float = HU_WINDOW[1]):
-    """Clip to [lo, hi] and rescale linearly to [0, 1]."""
-    if not hi > lo:
-        raise ValueError(f"window [{lo}, {hi}] is empty")
+def window_intensity(arr: np.ndarray):
+    """Clip to HU_WINDOW = [lo, hi] and rescale linearly to [0, 1]."""
+    lo, hi = HU_WINDOW
     return (np.clip(arr, lo, hi) - lo) / (hi - lo)
 
 
@@ -388,12 +387,22 @@ def list_sample_ids(sample_dir) -> list:
 # Splitting
 # ---------------------------------------------------------------------------
 
+def _reject_repeats(ids, where: str) -> None:
+    """Raise ValueError naming the first id that `ids` holds twice."""
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise ValueError(f"{where} names sample {sid!r} twice")
+        seen.add(sid)
+
+
 def split_dataset(ids, seed: int) -> SplitManifest:
     """Shuffle deterministically, then cut 60/20/20 with floor rule; the
     remainder after flooring the val/test shares goes to train."""
     ids = list(ids)
     if not ids:
         raise ValueError("cannot split an empty id list")
+    _reject_repeats(ids, "the id list")
     rng = np.random.default_rng([int(seed), 0x5B17])
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
@@ -420,6 +429,8 @@ def load_manifest(path) -> SplitManifest:
         isinstance(i, str) for i in v), "a list of strings")
     payload = read_json(str(path), "split manifest", {
         "train": ids, "val": ids, "test": ids, "seed": INTEGER})
+    _reject_repeats(payload["train"] + payload["val"] + payload["test"],
+                    f"split manifest {path}")
     return SplitManifest(train=payload["train"], val=payload["val"],
                          test=payload["test"], seed=payload["seed"])
 
@@ -428,7 +439,7 @@ def load_manifest(path) -> SplitManifest:
 # End-to-end preprocessing chains
 # ---------------------------------------------------------------------------
 
-def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str, window,
+def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str,
                      crop) -> Sample:
     """Load a MetaImage pair, binarize the mask, cut both volumes with
     crop(image, mask) -> (img, msk), window the image, save the sample."""
@@ -439,7 +450,7 @@ def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str, window,
     # the binary mask replaces the raw one, which is freed before crop runs
     mask = (mask > 0).astype(np.float32)
     img, msk = crop(image, mask)
-    img = window_intensity(img, *window).astype(np.float32)
+    img = window_intensity(img).astype(np.float32)
     sample = Sample(image=Tensor5(img), mask=Tensor5(msk),
                     spacing=meta.spacing, origin=meta.origin, id=sample_id)
     save_sample(sample, out_dir)
@@ -447,17 +458,14 @@ def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str, window,
 
 
 def preprocess_lung(image_mhd, mask_mhd, out_dir, sample_id: str,
-                    target=(300, 300), half_extent: int = 11,
-                    window=HU_WINDOW) -> Sample:
-    """MetaImage pair -> windowed, resized, median-cropped sample."""
+                    target=(300, 300)) -> Sample:
+    """MetaImage pair -> median-cropped, resized, windowed sample. The
+    resize treats each slice on its own, so cropping first keeps its bytes."""
     def crop(image, mask):
-        return (crop_about_median(resize_inplane(image, target, "linear"),
-                                  half_extent),
-                crop_about_median(resize_inplane(mask, target, "nearest"),
-                                  half_extent))
+        return (resize_inplane(crop_about_median(image), target, "linear"),
+                resize_inplane(crop_about_median(mask), target, "nearest"))
 
-    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, window,
-                            crop)
+    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, crop)
 
 
 def mask_centroid(mask: np.ndarray) -> tuple:
@@ -469,13 +477,11 @@ def mask_centroid(mask: np.ndarray) -> tuple:
 
 
 def preprocess_nodule(image_mhd, mask_mhd, out_dir, sample_id: str,
-                      center=None, size: int = 64,
-                      window=HU_WINDOW) -> Sample:
+                      center=None, size: int = 64) -> Sample:
     """MetaImage pair -> windowed fixed-size block around the nodule."""
     def crop(image, mask):
         at = mask_centroid(mask) if center is None else center
         return (crop_nodule_block(image, at, size),
                 crop_nodule_block(mask, at, size))
 
-    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, window,
-                            crop)
+    return _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id, crop)

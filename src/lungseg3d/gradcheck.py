@@ -169,21 +169,19 @@ def all_targets():
     return sorted(CHECKS)
 
 
-def check_gradients(target: str, seed: int = 0, tol: float = None):
-    """Run one target's rows (or 'all'); returns a list of GradReports.
-
-    Each row checks at its own tolerance unless `tol` is given.
-    """
+def check_gradients(target: str, seed: int = 0):
+    """Run one target's rows (or 'all'), each at its own `Row.tol`;
+    returns a list of GradReports."""
     if target == "all":
         reports = []
         for name in all_targets():
-            reports.extend(check_gradients(name, seed=seed, tol=tol))
+            reports.extend(check_gradients(name, seed=seed))
         return reports
     if target not in CHECKS:
         raise ValueError(f"unknown gradcheck target {target!r}; known: "
                          f"{', '.join(all_targets())}")
     try:
-        return CHECKS[target](seed, tol)
+        return CHECKS[target](seed)
     except FloatingPointError as exc:
         raise FloatingPointError(f"gradcheck {target!r}: {exc}") from None
 
@@ -273,7 +271,7 @@ def _off_kink(shape):
     return draw
 
 
-def _run_row(row: Row, seed, tol):
+def _run_row(row: Row, seed):
     rng = np.random.default_rng([seed, *row.tag])
     args = [row.build(rng, seed)] if row.build else []
     tensors = [(name, Var(draw(rng))) for name, draw in row.inputs]
@@ -295,9 +293,10 @@ def _run_row(row: Row, seed, tol):
             return float(loss_fn().data)
 
     if row.sample:
-        return _run_sampled(row, f, [v for _, v in tensors], seed, tol)
+        return _run_sampled(row, f, [v for _, v in tensors], seed)
     return [compare_grads(row.name, name, _grad(v),
-                          finite_diff_grad(f, v.data, row.h), tol, row.note)
+                          finite_diff_grad(f, v.data, row.h), row.tol,
+                          row.note)
             for name, v in tensors]
 
 
@@ -305,7 +304,7 @@ def _grad(var):
     return var.grad if var.grad is not None else np.zeros_like(var.data)
 
 
-def _run_sampled(row: Row, f, params, seed, tol):
+def _run_sampled(row: Row, f, params, seed):
     """Probe `row.sample` coordinates drawn across params by their sizes."""
     rng = np.random.default_rng([seed, 0x5A])
     sizes = np.array([p.data.size for p in params], dtype=np.float64)
@@ -332,7 +331,8 @@ def _run_sampled(row: Row, f, params, seed, tol):
         data = params[ti].data
         n1 = _probe(f, data, data.reshape(-1), ci, row.h)
         n2 = _probe(f, data, data.reshape(-1), ci, row.h / 2)
-        if abs(n1 - n2) > max(ABS_FLOOR, (tol / 3.0) * max(abs(n1), abs(n2))):
+        if abs(n1 - n2) > max(ABS_FLOOR,
+                              (row.tol / 3.0) * max(abs(n1), abs(n2))):
             skipped += 1
         else:
             picks.setdefault(ti, {})[ci] = n2
@@ -344,7 +344,7 @@ def _run_sampled(row: Row, f, params, seed, tol):
         analytic = _grad(params[ti]).reshape(-1)[coords]
         numeric = np.array([picks[ti][c] for c in coords])
         reports.append(compare_grads(
-            row.name, params[ti].name, analytic, numeric, tol,
+            row.name, params[ti].name, analytic, numeric, row.tol,
             note=f"sampled {len(coords)} coords{suffix}"))
     return reports
 
@@ -497,9 +497,9 @@ TABLE = (
 )
 
 
-def _run_target(target, seed, tol):
+def _run_target(target, seed):
     return [rep for row in TABLE if row.target == target
-            for rep in _run_row(row, seed, row.tol if tol is None else tol)]
+            for rep in _run_row(row, seed)]
 
 
 CHECKS = {row.target: functools.partial(_run_target, row.target)

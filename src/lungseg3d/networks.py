@@ -46,7 +46,6 @@ class NetworkConfig:
     input_geometry: tuple
     attn_window: tuple = (2, 2, 2)
     dropout_rate: float = 0.2
-    output_channels: int = 1
 
     def __post_init__(self):
         self.stage_channels = [int(c) for c in self.stage_channels]
@@ -60,8 +59,6 @@ class NetworkConfig:
             raise ValueError("attn_window must be 3 positive ints")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.output_channels != 1:
-            raise ValueError("networks produce a single probability channel")
 
 
 def lung_default_config() -> NetworkConfig:

@@ -153,8 +153,6 @@ class BatchNormState:
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +444,8 @@ def maxpool3d_backward(idx, in_shape, window, grad_out):
 # ---------------------------------------------------------------------------
 
 _BN_AXES = (0, 2, 3, 4)
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def _ch(v):
@@ -468,15 +468,15 @@ def batchnorm3d(x, gamma, beta, state: BatchNormState, mode: str,
     if mode == "train":
         mu = x.mean(axis=_BN_AXES)
         var = x.var(axis=_BN_AXES)
-        invstd = 1.0 / np.sqrt(var + state.eps)
-        m = state.momentum
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
+        m = BN_MOMENTUM
         state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(
             state.running_mean.dtype)
         state.running_var = ((1 - m) * state.running_var + m * var).astype(
             state.running_var.dtype)
     elif mode == "eval":
         mu = state.running_mean
-        invstd = 1.0 / np.sqrt(state.running_var + state.eps)
+        invstd = 1.0 / np.sqrt(state.running_var + BN_EPS)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # (x - mu) * invstd and gamma * xhat + beta in place, one full-size

@@ -9,6 +9,7 @@ is deterministic, so logs and checkpoints are byte-identical across reruns.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -25,14 +26,19 @@ from .tensor import (INTEGER, INTEGERS, NUMBER, OBJECT, STRING, check_keys,
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
 _ADAM_CHUNK = 16384  # elements per cache-resident chunk of an Adam update
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def _usable_lr(lr) -> bool:
+    """Whether Adam can train at `lr`: a finite number > 0."""
+    return math.isfinite(lr) and lr > 0
 
 
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -43,8 +49,8 @@ def adam_step(params, grads, state: AdamState) -> None:
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params vs {len(grads)} grads")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for var, g in zip(params, grads):
         if g is None:
             g = np.zeros_like(var.data)
@@ -70,16 +76,16 @@ def adam_step(params, grads, state: AdamState) -> None:
         for a in range(0, m.size, _ADAM_CHUNK):
             pc, gc, mc, vc = (f[a:a + _ADAM_CHUNK] for f in flat)
             tc, uc = t[:pc.size], u[:pc.size]
-            mc *= state.beta1
-            mc += np.multiply(1.0 - state.beta1, gc, out=tc)
-            vc *= state.beta2
-            np.multiply(1.0 - state.beta2, gc, out=tc)
+            mc *= ADAM_BETA1
+            mc += np.multiply(1.0 - ADAM_BETA1, gc, out=tc)
+            vc *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, gc, out=tc)
             vc += np.multiply(tc, gc, out=tc)
             np.divide(mc, bc1, out=uc)
             uc *= state.lr
             np.divide(vc, bc2, out=tc)
             np.sqrt(tc, out=tc)
-            tc += state.eps
+            tc += ADAM_EPS
             pc -= np.divide(uc, tc, out=uc)
 
 
@@ -121,9 +127,7 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
     manifest = {
         "kind": state.kind,
         "config": asdict(state.config),
-        "adam": {"lr": state.adam.lr, "beta1": state.adam.beta1,
-                 "beta2": state.adam.beta2, "eps": state.adam.eps,
-                 "t": state.adam.t},
+        "adam": {"lr": state.adam.lr, "t": state.adam.t},
         "epoch": state.epoch,
         "seed": state.seed,
         "best_val_dice": state.best_val_dice,
@@ -144,20 +148,19 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         "tensors": OBJECT})
     where = f"checkpoint manifest {path}"
     config_keys = {"stage_channels": INTEGERS, "input_geometry": INTEGERS,
-                   "attn_window": INTEGERS, "dropout_rate": NUMBER,
-                   "output_channels": INTEGER}
+                   "attn_window": INTEGERS, "dropout_rate": NUMBER}
     cfg = check_keys(manifest["config"], f"{where} 'config'", config_keys)
     a = check_keys(manifest["adam"], f"{where} 'adam'", {
-        "lr": NUMBER, "beta1": NUMBER, "beta2": NUMBER, "eps": NUMBER,
-        "t": INTEGER})
+        "lr": (lambda v: NUMBER[0](v) and _usable_lr(v),
+               "a finite number > 0"),
+        "t": (lambda v: INTEGER[0](v) and v >= 0, "a non-negative integer")})
     tensors = {}
     for name, entry in manifest["tensors"].items():
         check_keys(entry, f"{where} tensor {name!r}",
                    {"file": STRING, "role": STRING})
         tensors[name] = (entry["file"], entry["role"])
     config = NetworkConfig(**{key: cfg[key] for key in config_keys})
-    adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                     eps=a["eps"], t=a["t"])
+    adam = AdamState(lr=a["lr"], t=a["t"])
     kind, seed = manifest["kind"], manifest["seed"]
     epoch, best_val_dice = manifest["epoch"], manifest["best_val_dice"]
     net = build_network(kind, config, seed)
@@ -274,6 +277,8 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
     """Run the full loop; writes log.csv, best/ and last/ checkpoints."""
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not _usable_lr(lr):
+        raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
     check_threshold(threshold)
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "log.csv")

@@ -8,7 +8,7 @@ from lungseg3d.autograd import Var
 from lungseg3d.blocks import (AttentionGate3d, BatchNorm3d, Conv3d,
                               DoubleConvBlock3d, ResidualBlock3d, TConv3d,
                               WindowAttention3d, capture)
-from lungseg3d.ops import ConvSpec, softmax_lastdim
+from lungseg3d.ops import BN_EPS, ConvSpec, softmax_lastdim
 
 
 def _rng(*key):
@@ -47,7 +47,7 @@ def test_batchnorm_layer_shares_buffers_with_vars():
     bn.beta.data[...] = 0.5
     x = Var(_rng(1).standard_normal((2, 3, 2, 2, 2)))
     y = bn(x, "eval")
-    assert np.allclose(y.data, 2.0 * x.data / np.sqrt(1.0 + bn.state.eps) + 0.5)
+    assert np.allclose(y.data, 2.0 * x.data / np.sqrt(1.0 + BN_EPS) + 0.5)
 
 
 # ---------------------------------------------------------------------------

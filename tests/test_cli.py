@@ -63,7 +63,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 def test_gradcheck_non_finite_probe_is_one_line_error(monkeypatch, capsys):
     """A finite-difference probe that meets a NaN ends the command with one
     error line naming the target, not a traceback."""
-    def nan_check(seed, tol):
+    def nan_check(seed):
         x = np.ones(3)
         gradcheck.finite_diff_grad(lambda v: float("nan"), x, 1e-6)
         return []
@@ -97,6 +97,48 @@ def test_split_subcommand_writes_manifest(tmp_path, capsys):
     man = load_manifest(man_path)
     assert len(man.train) == 3 and len(man.val) == 1 and len(man.test) == 1
     assert sorted(man.train + man.val + man.test) == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_a_sample_named_twice_is_one_line_error(tmp_path, capsys, command):
+    """An id list or split manifest that names one sample twice would put
+    it in two splits; the command stops with one error line naming it."""
+    out = tmp_path / "split.json"
+    if command == "split":
+        argv = ["split", "--ids", "a,a,b,c,d", "--out", str(out)]
+        message = "the id list names sample 'a' twice"
+    else:
+        out.write_text(json.dumps({"train": ["a", "b"], "val": ["c", "a"],
+                                   "test": [], "seed": 0}))
+        argv = ["train", "--net", "nodule", "--manifest", str(out),
+                "--sample-dir", str(tmp_path), "--out",
+                str(tmp_path / "run"), *MICRO_FLAGS]
+        message = f"split manifest {out} names sample 'a' twice"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert command == "train" or not out.exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--target", "relu", "--tol", "1e-3"],
+    ["preprocess", "--image", "i.mhd", "--mask", "m.mhd", "--out", "o",
+     "--id", "a", "--seed", "1"],
+    ["eval", "--seed", "1"],
+    ["predict", "--id", "a", "--out", "p.mhd", "--seed", "1"],
+    ["heatmap", "--id", "a", "--slice", "0", "--out", "h.pgm", "--seed", "1"],
+], ids=["gradcheck-tol", "preprocess-seed", "eval-seed", "predict-seed",
+        "heatmap-seed"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    """gradcheck checks each row at its own tolerance, and the commands
+    that draw nothing random take no seed: the flag, the last two
+    arguments, is refused with one error line before any echo."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = [line for line in captured.err.splitlines()
+           if line.startswith("error:")]
+    assert err == [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
+    assert not captured.out
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
@@ -162,16 +204,9 @@ def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--threshold", "1.5", "threshold 1.5 outside (0, 1)"),
-    ("--epochs", "-3", "epochs must be at least 1, got -3"),
-], ids=["threshold", "epochs"])
-def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
-                                                 flag, value, message):
-    """An out-of-range threshold or epoch count is refused before the run
-    directory exists, also when no validation volume would use the
-    threshold."""
-    samples, _ = tiny_split
+def _train_refused(tmp_path, capsys, samples, extra, message):
+    """`train` with the `extra` arguments stops with the one error line
+    `message` before the run directory exists."""
     man = tmp_path / "split.json"
     man.write_text(json.dumps({"train": ["nodule-0000"], "val": [],
                                "test": [], "seed": 0}))
@@ -179,10 +214,39 @@ def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
     capsys.readouterr()
     assert main(["train", "--net", "nodule", "--manifest", str(man),
                  "--sample-dir", str(samples), "--out", str(run),
-                 "--epochs", "1", *MICRO_FLAGS, flag, value]) == 1
+                 "--epochs", "1", *MICRO_FLAGS, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert not run.exists()
+
+
+LR_MESSAGE = "lr must be a finite number > 0, got "
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--threshold", "1.5", "threshold 1.5 outside (0, 1)"),
+    ("--epochs", "-3", "epochs must be at least 1, got -3"),
+    ("--lr", "nan", LR_MESSAGE + "nan"),
+    ("--lr", "inf", LR_MESSAGE + "inf"),
+    ("--lr", "-1", LR_MESSAGE + "-1.0"),
+    ("--lr", "0", LR_MESSAGE + "0.0"),
+], ids=["threshold", "epochs", "lr-nan", "lr-inf", "lr-negative", "lr-zero"])
+def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
+                                                 flag, value, message):
+    """An out-of-range threshold, epoch count or learning rate is refused
+    before the run directory exists, also when no validation volume would
+    use the threshold."""
+    _train_refused(tmp_path, capsys, tiny_split[0], [flag, value], message)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("-inf"), -0.5, 0],
+                         ids=["nan", "-inf", "negative", "zero"])
+def test_unusable_lr_from_a_config_file_stops_before_training(
+        tmp_path, capsys, tiny_split, lr):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": lr}))
+    _train_refused(tmp_path, capsys, tiny_split[0], ["--config", str(cfg)],
+                   LR_MESSAGE + repr(lr))
 
 
 @pytest.mark.parametrize("net,flag,value,message", [
@@ -193,6 +257,8 @@ def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
     ("lung", "--target", "0,64",
      "--target must be 2 positive ints h,w, got 0,64"),
     ("nodule", "--center", "1,2", "--center must be 3 ints d,h,w, got 1,2"),
+    ("nodule", "--size", "0", "--size must be a positive int, got 0"),
+    ("nodule", "--size", "-4", "--size must be a positive int, got -4"),
 ])
 def test_bad_preprocess_geometry_stops_before_reading(tmp_path, capsys, net,
                                                       flag, value, message):
@@ -249,6 +315,10 @@ BAD_VALUES = [
     ("checkpoint", ("tensors",), "list", lambda v: [v]),
     ("checkpoint", ("config", "stage_channels"), "int", lambda v: 5),
     ("checkpoint", ("adam", "t"), "str", lambda v: "x"),
+    ("checkpoint", ("adam", "t"), "negative", lambda v: -1),
+    *[("checkpoint", ("adam", "lr"), label, lambda v, lr=lr: lr)
+      for label, lr in (("nan", float("nan")), ("inf", float("inf")),
+                        ("negative", -1e-4), ("zero", 0))],
     ("checkpoint", ("tensors", "head.weight"), "int", lambda v: 5),
     ("meta", ("spacing",), "int", lambda v: 1),
     *[(w, (), "list", lambda v: [1])

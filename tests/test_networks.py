@@ -45,9 +45,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(stage_channels=MICRO, input_geometry=(1, 16, 16, 16),
                       dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(stage_channels=MICRO, input_geometry=(1, 16, 16, 16),
-                      output_channels=2)
 
 
 def test_default_configs():

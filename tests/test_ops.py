@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lungseg3d import ops
-from lungseg3d.ops import (BatchNormState, ConvSpec, LayerParams, batchnorm3d,
-                           batchnorm3d_backward, center_crop3d,
+from lungseg3d.ops import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvSpec,
+                           LayerParams, batchnorm3d, batchnorm3d_backward,
+                           center_crop3d,
                            center_crop3d_backward, channel_scale,
                            channel_scale_backward, concat_channels,
                            concat_channels_backward, conv3d, conv3d_backward,
@@ -496,13 +497,14 @@ def test_batchnorm_eval_uses_running_stats():
     x = rng.standard_normal((1, 2, 4, 4, 4))
     batchnorm3d(x, gamma, beta, bn, "train")
     # running stats moved by momentum 0.1 away from the (0, 1) init
+    assert BN_MOMENTUM == 0.1
     bmean = x.mean(axis=(0, 2, 3, 4))
     bvar = x.var(axis=(0, 2, 3, 4))
     assert np.allclose(bn.running_mean, 0.1 * bmean)
     assert np.allclose(bn.running_var, 0.9 + 0.1 * bvar)
     y, _ = batchnorm3d(x, gamma, beta, bn, "eval")
     want = (x - bn.running_mean[None, :, None, None, None]) / np.sqrt(
-        bn.running_var[None, :, None, None, None] + bn.eps)
+        bn.running_var[None, :, None, None, None] + BN_EPS)
     assert np.allclose(y, want)
 
 

@@ -45,7 +45,7 @@ def test_adam_matches_hand_rolled_recurrence():
     # compare against an independently coded Adam recurrence
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     p = Var(np.asarray([1.5]), name="x")
-    st = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    st = AdamState(lr=lr)
 
     x = 1.5
     m = v = 0.0
@@ -96,7 +96,7 @@ def _adam_bytes_match_the_expressions(shapes, steps):
     ref_p = [v.data.copy() for v in params]
     ref_m = [np.zeros(s, np.float32) for s in shapes]
     ref_v = [np.zeros(s, np.float32) for s in shapes]
-    st = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    st = AdamState(lr=lr)
     for t in range(1, steps + 1):
         grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
         adam_step(params, grads, st)
@@ -329,6 +329,32 @@ def test_train_resume_from_best_truncates_log(tmp_path):
     assert [line.split(",")[0] for line in log.splitlines()[1:]] == \
         ["0", "1", "2", "3"]
     assert log == full  # epochs 1-3 rerun from the same state
+
+
+def test_checkpoint_with_the_retired_keys_loads_and_resumes(tmp_path):
+    """A manifest no longer records config.output_channels or Adam's beta1,
+    beta2 and eps, which are constants; one that still holds them loads,
+    and resumes to the bytes of the same checkpoint without them."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
+    man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
+    new, old = tmp_path / "new", tmp_path / "old"
+    train("nodule", man, d, new, _nodule_config(), epochs=1, seed=0)
+    path = new / "last" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert "output_channels" not in manifest["config"]
+    assert sorted(manifest["adam"]) == ["lr", "t"]
+    shutil.copytree(new, old)
+    manifest["config"]["output_channels"] = 1
+    manifest["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    (old / "last" / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    for run in (new, old):
+        train("nodule", man, d, run, _nodule_config(), epochs=2, seed=0,
+              resume_from=run / "last")
+    files_new, files_old = _dir_bytes(new), _dir_bytes(old)
+    assert files_new.keys() == files_old.keys()
+    for name in files_new:
+        assert files_new[name] == files_old[name], name
 
 
 def test_train_missing_sample_raises(tmp_path):
