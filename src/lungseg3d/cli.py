@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the package stages: gradcheck, phantom-gen,
-preprocess, split, train, eval, predict, heatmap. Options come from an
-optional JSON config file with command-line flags taking precedence; the
-effective configuration is echoed as JSON before any work starts.
+preprocess, split, train, eval, predict, heatmap. Each option is one
+argparse flag that holds its default. A JSON config file (`--config`) maps
+the dest of a value-taking flag that is not required (`out_dir`,
+`stage_channels`, ...) to a value: the keys the running command declares
+become its defaults, so flags still win, and keys that only other commands
+take are ignored. The parsed arguments, with `train`'s net-default widths,
+geometry and window filled in, are echoed as one JSON line before any work
+starts.
 
 Exit codes: 0 success, 1 validation or usage error, a non-finite training
 step or gradcheck probe, or a failed gradient check, 2 I/O error.
@@ -13,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 
 from . import data, gradcheck
 from .losses import export_heatmap
@@ -21,39 +25,6 @@ from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
 from .tensor import INTEGER, INTEGERS, NUMBER, STRING, read_json
 from .train import NonFiniteError, evaluate, load_checkpoint, train
-
-
-@dataclass
-class RunConfig:
-    """Defaults for every tunable knob; JSON file then flags override."""
-
-    net: str = "nodule"
-    stage_channels: list = None
-    input_geometry: list = None
-    attn_window: list = None
-    dropout_rate: float = 0.2
-    epochs: int = 100
-    lr: float = 1e-4
-    seed: int = 0
-    threshold: float = 0.5
-    sample_dir: str = "."
-    out_dir: str = "run"
-    manifest: str = ""
-    checkpoint: str = ""
-    resume: str = ""
-
-    def network_config(self) -> NetworkConfig:
-        base = (lung_default_config() if self.net == "lung"
-                else nodule_default_config())
-        return NetworkConfig(
-            stage_channels=(self.stage_channels if self.stage_channels
-                            else base.stage_channels),
-            input_geometry=tuple(self.input_geometry if self.input_geometry
-                                 else base.input_geometry),
-            attn_window=tuple(self.attn_window if self.attn_window
-                              else base.attn_window),
-            dropout_rate=self.dropout_rate,
-        )
 
 
 class UsageError(Exception):
@@ -73,77 +44,39 @@ def _int_list(text: str) -> list:
 
 
 NETS = ("lung", "nodule")
-# RunConfig field name or type -> (test of a JSON value, what the error asks
-# for); a JSON true or false is never a number here
-_CONFIG_TYPES = {
-    "int": INTEGER, "float": NUMBER, "str": STRING,
-    "list": (lambda v: v is None or INTEGERS[0](v), INTEGERS[1]),
-    "net": (lambda v: v in NETS, " or ".join(map(json.dumps, NETS))),
-}
-
-
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    path = getattr(args, "config", None)
-    if path:
-        payload = read_json(path, "config file", {})
-        types = {f.name: f.type for f in fields(RunConfig)}
-        for key, val in payload.items():
-            if key not in types:
-                raise UsageError(f"config file {path}: unknown key {key!r}")
-            test, what = _CONFIG_TYPES.get(key, _CONFIG_TYPES[types[key]])
-            if not test(val):
-                raise UsageError(f"config file {path}: {key!r} must be "
-                                 f"{what}, got {json.dumps(val)}")
-            setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
-    if cfg.seed < 0:
-        raise UsageError(f"'seed' must be non-negative, got {cfg.seed}")
-    return cfg
-
-
-def _echo(cfg: RunConfig, command: str) -> None:
-    payload = {"command": command}
-    payload.update(asdict(cfg))
-    try:
-        nc = cfg.network_config()
-        payload["stage_channels"] = nc.stage_channels
-        payload["input_geometry"] = list(nc.input_geometry)
-        payload["attn_window"] = list(nc.attn_window)
-    except ValueError:
-        pass  # invalid overrides will be reported by the subcommand
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _add_common(p: argparse.ArgumentParser, seed: bool = False):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    if seed:
-        p.add_argument("--seed", type=int, default=None)
+# a flag's type -> (test of a JSON config value, what the error asks for);
+# a JSON true or false is never a number here
+_JSON_TYPES = {None: STRING, int: INTEGER, float: NUMBER, _int_list: INTEGERS}
+# command -> the settings it cannot run without
+_NEEDS = {"train": ("manifest",), "eval": ("checkpoint", "manifest"),
+          "predict": ("checkpoint",), "heatmap": ("checkpoint",)}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lungseg3d",
                      description="3D lung/nodule segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> parser, for the config file
 
-    p = sub.add_parser("gradcheck", parents=[], help="finite-difference checks")
-    _add_common(p, seed=True)
+    def command(name, text, seed=False):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        return p
+
+    p = command("gradcheck", "finite-difference checks", seed=True)
     p.add_argument("--target", default="all",
                    help="op/block/network name or 'all'")
 
-    p = sub.add_parser("phantom-gen", help="generate synthetic samples")
-    _add_common(p, seed=True)
+    p = command("phantom-gen", "generate synthetic samples", seed=True)
     p.add_argument("--kind", choices=("nodule", "lung"), required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--dims", type=_int_list, default=[32, 32, 32])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("preprocess", help="MetaImage pair to training sample")
-    _add_common(p)
-    p.add_argument("--net", choices=NETS, default=None)
+    p = command("preprocess", "MetaImage pair to training sample")
+    p.add_argument("--net", choices=NETS, default="nodule")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
@@ -153,87 +86,127 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--target", type=_int_list, default=[300, 300])
 
-    p = sub.add_parser("split", help="60-20-20 manifest from sample ids")
-    _add_common(p, seed=True)
-    p.add_argument("--sample-dir", default=None)
+    p = command("split", "60-20-20 manifest from sample ids", seed=True)
+    p.add_argument("--sample-dir", default=".")
     p.add_argument("--ids", default=None, help="comma-separated ids")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train a network")
-    _add_common(p, seed=True)
-    p.add_argument("--net", choices=NETS, default=None)
+    p = command("train", "train a network", seed=True)
+    p.add_argument("--net", choices=NETS, default="nodule")
     p.add_argument("--manifest", default=None)
-    p.add_argument("--sample-dir", default=None, dest="sample_dir")
-    p.add_argument("--out", default=None, dest="out_dir")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--stage-channels", type=_int_list, default=None,
-                   dest="stage_channels")
-    p.add_argument("--input-geometry", type=_int_list, default=None,
-                   dest="input_geometry")
-    p.add_argument("--attn-window", type=_int_list, default=None,
-                   dest="attn_window")
-    p.add_argument("--dropout-rate", type=float, default=None,
-                   dest="dropout_rate")
-    p.add_argument("--resume", default=None)
+    p.add_argument("--sample-dir", default=".")
+    p.add_argument("--out", default="run", dest="out_dir")
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--threshold", type=float, default=0.5)
+    # None: the net's default widths, geometry and window
+    p.add_argument("--stage-channels", type=_int_list, default=None)
+    p.add_argument("--input-geometry", type=_int_list, default=None)
+    p.add_argument("--attn-window", type=_int_list, default=None)
+    p.add_argument("--dropout-rate", type=float, default=0.2)
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to continue, trained with this run's "
+                        "net, network settings, lr and seed")
 
-    p = sub.add_parser("eval", help="score a checkpoint on a split")
-    _add_common(p)
+    p = command("eval", "score a checkpoint on a split")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--sample-dir", default=None, dest="sample_dir")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--sample-dir", default=".")
+    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=None, help="write the JSON report here")
 
-    p = sub.add_parser("predict", help="binary mask for one sample")
-    _add_common(p)
+    p = command("predict", "binary mask for one sample")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--id", required=True, dest="sample_id")
-    p.add_argument("--sample-dir", default=None, dest="sample_dir")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--sample-dir", default=".")
+    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output .mhd path")
 
-    p = sub.add_parser("heatmap", help="probability slice as PGM/PPM")
-    _add_common(p)
+    p = command("heatmap", "probability slice as PGM/PPM")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--id", required=True, dest="sample_id")
-    p.add_argument("--sample-dir", default=None, dest="sample_dir")
+    p.add_argument("--sample-dir", default=".")
     p.add_argument("--slice", type=int, required=True, dest="slice_index")
     p.add_argument("--color", action="store_true")
     p.add_argument("--out", required=True)
     return parser
 
 
+def _flags(parser) -> dict:
+    """dest -> action of each flag of a command's parser that takes a value
+    and has a default, --config aside: the keys a config file may set."""
+    return {a.dest: a for a in parser._actions if a.option_strings
+            and a.nargs != 0 and not a.required and a.dest != "config"}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The command line, parsed again with the config file's keys for the
+    running command as its defaults; checked for a negative seed and
+    missing settings, and with train's net defaults filled in."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        path, sub = args.config, parser.commands[args.command]
+        payload = read_json(path, "config file", {})
+        known = {key for p in parser.commands.values() for key in _flags(p)}
+        own = _flags(sub)
+        for key, val in payload.items():
+            if key not in known:
+                raise UsageError(f"config file {path}: unknown key {key!r}")
+            flag = own.get(key)
+            if flag is None or val is None and flag.default is None:
+                continue
+            test, what = ((lambda v: v in flag.choices,
+                           " or ".join(map(json.dumps, flag.choices)))
+                          if flag.choices else _JSON_TYPES[flag.type])
+            if not test(val):
+                raise UsageError(f"config file {path}: {key!r} must be "
+                                 f"{what}, got {json.dumps(val)}")
+        sub.set_defaults(**{k: v for k, v in payload.items() if k in own})
+        args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError(f"'seed' must be non-negative, got {args.seed}")
+    for key in _NEEDS.get(args.command, ()):
+        if not getattr(args, key):
+            raise ValueError(f"{args.command} needs --{key}")
+    if args.command == "train":
+        base = (lung_default_config() if args.net == "lung"
+                else nodule_default_config())
+        for key in ("stage_channels", "input_geometry", "attn_window"):
+            if not getattr(args, key):
+                setattr(args, key, list(getattr(base, key)))
+    return args
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_gradcheck(args, cfg: RunConfig) -> int:
-    reports = gradcheck.oracle_selftest(cfg.seed)
+def _cmd_gradcheck(args) -> int:
+    reports = gradcheck.oracle_selftest(args.seed)
     for rep in reports:
         if not rep.passed:
             raise ValueError(f"oracle self-test failed: {rep.as_dict()}")
-    reports = gradcheck.check_gradients(args.target, seed=cfg.seed)
+    reports = gradcheck.check_gradients(args.target, seed=args.seed)
     print(json.dumps([r.as_dict() for r in reports], indent=1))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
+def _cmd_phantom_gen(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     dims = args.dims if len(args.dims) > 1 else args.dims[0]
     ids = []
     for i in range(args.count):
-        sample = data.make_phantom(args.kind, dims, cfg.seed + i)
+        sample = data.make_phantom(args.kind, dims, args.seed + i)
         data.save_sample(sample, args.out)
         ids.append(sample.id)
     print(json.dumps({"ids": ids}, sort_keys=True))
     return 0
 
 
-def _cmd_preprocess(args, cfg: RunConfig) -> int:
+def _cmd_preprocess(args) -> int:
     if len(args.target) != 2 or min(args.target) < 1:
         raise UsageError(f"--target must be 2 positive ints h,w, got "
                          f"{','.join(map(str, args.target))}")
@@ -242,7 +215,7 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
                          f"{','.join(map(str, args.center))}")
     if args.size < 1:
         raise UsageError(f"--size must be a positive int, got {args.size}")
-    if cfg.net == "lung":
+    if args.net == "lung":
         data.preprocess_lung(args.image, args.mask, args.out, args.sample_id,
                              target=tuple(args.target))
     else:
@@ -253,41 +226,36 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_split(args, cfg: RunConfig) -> int:
+def _cmd_split(args) -> int:
     if args.ids:
         ids = [s for s in args.ids.split(",") if s]
     else:
-        ids = data.list_sample_ids(cfg.sample_dir)
-    manifest = data.split_dataset(ids, cfg.seed)
+        ids = data.list_sample_ids(args.sample_dir)
+    manifest = data.split_dataset(ids, args.seed)
     data.save_manifest(manifest, args.out)
     print(json.dumps({"train": len(manifest.train), "val": len(manifest.val),
                       "test": len(manifest.test)}, sort_keys=True))
     return 0
 
 
-def _cmd_train(args, cfg: RunConfig) -> int:
-    if not cfg.manifest:
-        raise ValueError("train needs --manifest")
-    manifest = data.load_manifest(cfg.manifest)
-    state = train(cfg.net, manifest, cfg.sample_dir, cfg.out_dir,
-                  cfg.network_config(), epochs=cfg.epochs, lr=cfg.lr,
-                  seed=cfg.seed, threshold=cfg.threshold,
-                  resume_from=cfg.resume or None)
-    print(json.dumps({"epochs": cfg.epochs,
+def _cmd_train(args) -> int:
+    manifest = data.load_manifest(args.manifest)
+    config = NetworkConfig(args.stage_channels, args.input_geometry,
+                           args.attn_window, args.dropout_rate)
+    state = train(args.net, manifest, args.sample_dir, args.out_dir, config,
+                  epochs=args.epochs, lr=args.lr, seed=args.seed,
+                  threshold=args.threshold, resume_from=args.resume or None)
+    print(json.dumps({"epochs": args.epochs,
                       "best_val_dice": state.best_val_dice,
-                      "out": cfg.out_dir}, sort_keys=True))
+                      "out": args.out_dir}, sort_keys=True))
     return 0
 
 
-def _cmd_eval(args, cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise ValueError("eval needs --checkpoint")
-    if not cfg.manifest:
-        raise ValueError("eval needs --manifest")
-    state = load_checkpoint(cfg.checkpoint)
-    manifest = data.load_manifest(cfg.manifest)
+def _cmd_eval(args) -> int:
+    state = load_checkpoint(args.checkpoint)
+    manifest = data.load_manifest(args.manifest)
     ids = getattr(manifest, args.split)
-    agg, rows = evaluate(state.net, ids, cfg.sample_dir, cfg.threshold)
+    agg, rows = evaluate(state.net, ids, args.sample_dir, args.threshold)
     report = {"aggregate": agg.as_dict(), "per_sample": rows,
               "split": args.split}
     text = json.dumps(report, sort_keys=True, indent=1)
@@ -298,12 +266,10 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_predict(args, cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise ValueError("predict needs --checkpoint")
-    state = load_checkpoint(cfg.checkpoint)
-    sample = data.load_sample(cfg.sample_dir, args.sample_id)
-    mask = predict_volume(state.net, sample.image, cfg.threshold)
+def _cmd_predict(args) -> int:
+    state = load_checkpoint(args.checkpoint)
+    sample = data.load_sample(args.sample_dir, args.sample_id)
+    mask = predict_volume(state.net, sample.image, args.threshold)
     data.write_mhd(args.out, mask.data, spacing=sample.spacing,
                    origin=sample.origin, element_type="MET_UCHAR")
     print(json.dumps({"id": args.sample_id, "out": args.out,
@@ -312,12 +278,10 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_heatmap(args, cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise ValueError("heatmap needs --checkpoint")
+def _cmd_heatmap(args) -> int:
     from .autograd import Var, no_grad
-    state = load_checkpoint(cfg.checkpoint)
-    sample = data.load_sample(cfg.sample_dir, args.sample_id)
+    state = load_checkpoint(args.checkpoint)
+    sample = data.load_sample(args.sample_dir, args.sample_id)
     with no_grad():
         prob = state.net.forward(Var(sample.image.data), "eval")
     export_heatmap(prob.data, args.slice_index, args.out, color=args.color)
@@ -340,11 +304,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        cfg = _load_config(args)
-        _echo(cfg, args.command)
-        return _COMMANDS[args.command](args, cfg)
+        args = _parse(argv)
+        print(json.dumps({k: v for k, v in vars(args).items()
+                          if k != "config"}, sort_keys=True))
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -200,6 +200,7 @@ def load_checkpoint(ckpt_dir) -> TrainState:
 
 def evaluate(net, ids, sample_dir, threshold: float = 0.5):
     """Score each sample at the threshold; returns (mean SegMetrics, rows)."""
+    check_threshold(threshold)
     rows = []
     for sid in ids:
         sample = load_sample(sample_dir, sid)
@@ -274,32 +275,42 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
           config: NetworkConfig, epochs: int = 100, lr: float = 1e-4,
           seed: int = 0, threshold: float = 0.5,
           resume_from=None) -> TrainState:
-    """Run the full loop; writes log.csv, best/ and last/ checkpoints."""
+    """Run the full loop; writes log.csv, best/ and last/ checkpoints.
+
+    `resume_from` continues a checkpoint trained with this kind, config, lr
+    and seed; any other value of these is refused.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
     if not _usable_lr(lr):
         raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
     check_threshold(threshold)
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "log.csv")
-
     if resume_from is not None:
         state = load_checkpoint(resume_from)
-        if state.kind != kind:
-            raise ValueError(f"checkpoint is for {state.kind!r}, not {kind!r}")
-        start_epoch = state.epoch + 1
+        saved = {"kind": state.kind, "lr": state.adam.lr,
+                 "seed": state.seed, **asdict(state.config)}
+        given = {"kind": kind, "lr": lr, "seed": seed, **asdict(config)}
+        differ = [key for key in given if saved[key] != given[key]]
+        if differ:
+            raise ValueError(
+                f"checkpoint {resume_from} was trained with "
+                + ", ".join(f"{k} {saved[k]!r}" for k in differ) + ", not "
+                + ", ".join(f"{k} {given[k]!r}" for k in differ))
+    else:
+        state = TrainState(net=build_network(kind, config, seed), kind=kind,
+                           config=config, adam=AdamState(lr=lr), epoch=-1,
+                           seed=seed, best_val_dice=-1.0)
+    # the run directory is made only once the run can start
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "log.csv")
+    if resume_from is not None:
         _truncate_log(log_path, state.epoch)
     else:
-        net = build_network(kind, config, seed)
-        state = TrainState(net=net, kind=kind, config=config,
-                           adam=AdamState(lr=lr), epoch=-1, seed=seed,
-                           best_val_dice=-1.0)
-        start_epoch = 0
         with open(log_path, "w", encoding="ascii") as fh:
             fh.write(LOG_HEADER + "\n")
 
     params = list(state.net.params())
-    for epoch in range(start_epoch, epochs):
+    for epoch in range(state.epoch + 1, epochs):
         order = _epoch_order(manifest.train, state.seed, epoch)
         losses = []
         for step, sid in enumerate(order):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 
 import lungseg3d
 from lungseg3d import gradcheck
-from lungseg3d.cli import main
+from lungseg3d.cli import build_parser, main
 from lungseg3d.data import (load_manifest, load_mhd, load_sample,
                             make_phantom, save_sample)
 from lungseg3d.networks import NetworkConfig, build_network
@@ -142,21 +144,88 @@ def test_removed_flags_are_usage_errors(capsys, argv):
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
+    """The flag wins over the file; `epochs` is a key only train takes, so
+    gradcheck ignores it and its echo has no such key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "epochs": 7}))
     assert main(["gradcheck", "--target", "relu", "--config", str(cfg),
                  "--seed", "9"]) == 0
     echo, _ = _first_json(capsys)
-    assert echo["seed"] == 9 and echo["epochs"] == 7
+    assert echo["seed"] == 9 and "epochs" not in echo
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_knob": 1}))
-    assert main(["gradcheck", "--config", str(bad)]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    # a key is an optional flag's dest: a required flag's is none
+    for key in ("no_such_knob", "sample_id", "config"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: "x"}))
+        assert main(["gradcheck", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {bad}: unknown key {key!r}\n")
 
     notjson = tmp_path / "broken.json"
     notjson.write_text("{nope")
     assert main(["gradcheck", "--config", str(notjson)]) == 1
+
+
+# command -> (arguments that reach the echo, the options it runs with):
+# every flag's dest but --help's and --config's
+ECHO_KEYS = {
+    "gradcheck": (["--target", "relu"], {"seed", "target"}),
+    "phantom-gen": (["--kind", "nodule", "--dims", "8", "--out", "{tmp}"],
+                    {"seed", "kind", "count", "dims", "out"}),
+    "preprocess": (["--image", "{tmp}/i.mhd", "--mask", "{tmp}/m.mhd",
+                    "--out", "{tmp}", "--id", "a"],
+                   {"net", "image", "mask", "out", "sample_id", "center",
+                    "size", "target"}),
+    "split": (["--ids", "a,b,c", "--out", "{tmp}/split.json"],
+              {"seed", "sample_dir", "ids", "out"}),
+    "train": (["--net", "lung", "--manifest", "{tmp}/none.json"],
+              {"seed", "net", "manifest", "sample_dir", "out_dir", "epochs",
+               "lr", "threshold", "stage_channels", "input_geometry",
+               "attn_window", "dropout_rate", "resume"}),
+    "eval": (["--checkpoint", "{tmp}/none", "--manifest", "{tmp}/none.json"],
+             {"checkpoint", "manifest", "split", "sample_dir", "threshold",
+              "out"}),
+    "predict": (["--checkpoint", "{tmp}/none", "--id", "a",
+                 "--out", "{tmp}/p.mhd"],
+                {"checkpoint", "sample_id", "sample_dir", "threshold",
+                 "out"}),
+    "heatmap": (["--checkpoint", "{tmp}/none", "--id", "a", "--slice", "0",
+                 "--out", "{tmp}/h.pgm"],
+                {"checkpoint", "sample_id", "sample_dir", "slice_index",
+                 "color", "out"}),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHO_KEYS))
+def test_echo_holds_exactly_the_options_the_command_runs_with(tmp_path,
+                                                              capsys, command):
+    """The echo is the parsed command line and nothing else: eval, predict
+    and heatmap show no net, widths or epochs, and train shows the widths,
+    geometry and window of the net it builds."""
+    argv, keys = ECHO_KEYS[command]
+    main([command] + [a.format(tmp=tmp_path) for a in argv])
+    echo, _ = _first_json(capsys)
+    assert set(echo) == {"command"} | keys
+    assert echo["command"] == command
+    if command in ("eval", "predict", "heatmap"):
+        assert not {"net", "stage_channels", "epochs"} & set(echo)
+    if command == "train":
+        assert (echo["stage_channels"], echo["input_geometry"],
+                echo["attn_window"]) == ([32, 64, 128, 256],
+                                         [1, 23, 300, 300], [2, 2, 2])
+
+
+def test_readme_commands_parse():
+    """Every `lungseg3d` line of README's sh blocks parses, so a documented
+    flag that no longer exists fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    lines = blocks.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("lungseg3d ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 BAD_CONFIG_VALUES = [("lr", "0.1"), ("threshold", "0.5"),
@@ -180,6 +249,71 @@ def tiny_split(tmp_path_factory):
                                "val": ["nodule-0001"], "test": [],
                                "seed": 0}))
     return root, man
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tiny_split, tmp_path_factory):
+    """A 1-epoch micro nodule run on tiny_split, and the flags that made it."""
+    samples, man = tiny_split
+    run = tmp_path_factory.mktemp("run") / "run"
+    argv = ["train", "--manifest", str(man), "--sample-dir", str(samples),
+            "--out", str(run), "--epochs", "1", *MICRO_FLAGS]
+    assert main(argv) == 0
+    return run, argv
+
+
+def test_one_config_file_serves_train_and_eval(tmp_path, tiny_split, capsys):
+    """train takes its keys from the file; eval takes its own from the same
+    file and ignores train's."""
+    samples, man = tiny_split
+    run = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "manifest": str(man), "sample_dir": str(samples), "out_dir": str(run),
+        "epochs": 1, "stage_channels": [2, 4, 8, 16],
+        "input_geometry": [1, 32, 32, 32], "checkpoint": str(run / "last"),
+        "split": "val"}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (run / "log.csv").read_text().count("\n") == 2
+    saved = json.loads((run / "last" / "manifest.json").read_text())
+    assert saved["config"]["stage_channels"] == [2, 4, 8, 16]
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 0
+    echo, out = _first_json(capsys)
+    assert echo["checkpoint"] == str(run / "last") and echo["split"] == "val"
+    assert not {"epochs", "out_dir", "stage_channels"} & set(echo)
+    report = json.loads(out.split("\n", 1)[1])
+    assert [r["id"] for r in report["per_sample"]] == ["nodule-0001"]
+
+
+def test_resume_with_another_lr_is_refused_untouched(tiny_run, capsys):
+    """A resumed run trains at the checkpoint's lr, so asking for another
+    one stops with one error line before log.csv or last/ changes."""
+    run, argv = tiny_run
+    files = [run / "log.csv", *sorted((run / "last").iterdir())]
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "2", "--lr", "0.05",
+                        "--resume", str(run / "last")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {run / 'last'} was trained with lr 0.0001, "
+        f"not lr 0.05\n")
+    assert [f.read_bytes() for f in files] == before
+
+
+def test_eval_threshold_out_of_range_on_an_empty_split(tiny_run, tiny_split,
+                                                       tmp_path, capsys):
+    """The threshold is refused even when no test volume would use it, and
+    no report is written."""
+    run, _ = tiny_run
+    samples, man = tiny_split
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "last"), "--manifest",
+                 str(man), "--split", "test", "--sample-dir", str(samples),
+                 "--threshold", "5", "--out", str(report)]) == 1
+    assert capsys.readouterr().err == "error: threshold 5.0 outside (0, 1)\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("key,val", BAD_CONFIG_VALUES,
@@ -230,12 +364,16 @@ LR_MESSAGE = "lr must be a finite number > 0, got "
     ("--lr", "inf", LR_MESSAGE + "inf"),
     ("--lr", "-1", LR_MESSAGE + "-1.0"),
     ("--lr", "0", LR_MESSAGE + "0.0"),
-], ids=["threshold", "epochs", "lr-nan", "lr-inf", "lr-negative", "lr-zero"])
+    ("--attn-window", "4,4,4",
+     "bottleneck spatial (2, 2, 2) not divisible by attention window "
+     "(4, 4, 4)"),
+], ids=["threshold", "epochs", "lr-nan", "lr-inf", "lr-negative", "lr-zero",
+        "attn-window"])
 def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
                                                  flag, value, message):
-    """An out-of-range threshold, epoch count or learning rate is refused
-    before the run directory exists, also when no validation volume would
-    use the threshold."""
+    """An out-of-range threshold, epoch count, learning rate or network
+    setting is refused before the run directory exists, also when no
+    validation volume would use the threshold."""
     _train_refused(tmp_path, capsys, tiny_split[0], [flag, value], message)
 
 

@@ -241,6 +241,10 @@ def test_evaluate_scores_each_id(tmp_path):
         np.mean([r["dice"] for r in rows]))
     empty_agg, empty_rows = evaluate(net, [], d)
     assert empty_rows == [] and empty_agg.dice_score == 0.0
+    # the threshold is checked before any sample is read, also for no ids
+    for sample_ids in ([], ["ghost"]):
+        with pytest.raises(ValueError, match=r"threshold 5 outside \(0, 1\)"):
+            evaluate(net, sample_ids, d, threshold=5)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +311,36 @@ def test_train_resume_continues_epoch_count(tmp_path):
     assert state.epoch == 2
     log = (out / "log.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in log[1:]] == ["0", "1", "2"]
-    with pytest.raises(ValueError):
-        train("lung", man, d, out, _nodule_config(), epochs=4, seed=0,
-              resume_from=out / "last")
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"kind": "lung"}, "kind 'nodule', not kind 'lung'"),
+    ({"lr": 0.05}, "lr 0.0001, not lr 0.05"),
+    ({"seed": 3}, "seed 0, not seed 3"),
+    ({"config": NetworkConfig([2, 4, 8, 32], (1, 32, 32, 32))},
+     "stage_channels [2, 4, 8, 16], not stage_channels [2, 4, 8, 32]"),
+    ({"config": NetworkConfig(MICRO, (1, 32, 32, 32), dropout_rate=0.5),
+      "lr": 0.05},
+     "lr 0.0001, dropout_rate 0.2, not lr 0.05, dropout_rate 0.5"),
+], ids=["kind", "lr", "seed", "stage_channels", "lr+dropout_rate"])
+def test_resume_refuses_settings_the_checkpoint_was_not_trained_with(
+        tmp_path, change, named):
+    """A resumed run keeps training the checkpoint's net at its lr and seed,
+    so a kind, network setting, lr or seed that differs is refused with one
+    line naming each, before log.csv or a checkpoint is touched."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1))
+    man = SplitManifest(train=ids[:1], val=ids[1:], test=[], seed=0)
+    out = tmp_path / "run"
+    train("nodule", man, d, out, _nodule_config(), epochs=1, seed=0)
+    before = _dir_bytes(out)
+    settings = dict(kind="nodule", config=_nodule_config(), lr=1e-4, seed=0)
+    settings.update(change)
+    with pytest.raises(ValueError) as err:
+        train(settings.pop("kind"), man, d, out, settings.pop("config"),
+              epochs=2, resume_from=out / "last", **settings)
+    assert str(err.value) == (f"checkpoint {out / 'last'} was trained with "
+                              f"{named}")
+    assert _dir_bytes(out) == before
 
 
 def test_train_resume_from_best_truncates_log(tmp_path):
