@@ -8,6 +8,12 @@ reverse topological order; run_backward is the only place that adds a
 gradient into Var.grad. Parameters are long-lived leaf Vars whose .data the
 optimizer updates in place.
 
+run_backward consumes the graph: once a node's closure has run, the node
+drops its gradient, closure and parents, so it and its buffers are freed as
+soon as nothing else holds it. A graph can be backpropagated once; a second
+backward through a used node raises RuntimeError. Leaves (Vars made without
+a closure: parameters, inputs, detached Vars) keep their .grad.
+
 Inside a no_grad() block ops return detached Vars, so large inference
 forwards do not retain intermediate buffers. There, batchnorm, relu and add
 (into b) write into their operand's array when the caller opts in with
@@ -63,6 +69,7 @@ class Var:
         return Var(self.data)
 
     def backward(self, seed=None):
+        """run_backward(self, seed): consumes the graph, leaves keep .grad."""
         run_backward(self, seed)
 
     def __repr__(self):
@@ -102,8 +109,18 @@ def from_op(out_data, parents, backward) -> Var:
     return Var(out_data, parents, backward)
 
 
+def _spent(_grad):
+    """The closure of a node that run_backward has consumed."""
+    raise RuntimeError("graph already backpropagated; run the forward again")
+
+
 def run_backward(root: Var, seed=None):
-    """Backpropagate from root through the recorded graph."""
+    """Backpropagate from root through the recorded graph, consuming it.
+
+    Each interior node is freed once its closure has run: its grad becomes
+    None, its closure a marker that raises RuntimeError if a later backward
+    reaches it, and its parents (). Leaves keep the gradients added to them.
+    """
     if seed is None:
         seed = np.ones_like(root.data)
     else:
@@ -121,6 +138,8 @@ def run_backward(root: Var, seed=None):
             continue
         if id(v) in seen:
             continue
+        if v._backward is _spent:
+            _spent(None)  # before any gradient is added
         seen.add(id(v))
         stack.append((v, True))
         for p in v._parents:
@@ -128,13 +147,17 @@ def run_backward(root: Var, seed=None):
                 stack.append((p, False))
 
     accumulate(root, seed)
-    for v in reversed(topo):
+    while topo:
+        # popping leaves the node to its consumers, which have all run and
+        # dropped it, so rebinding v on the next pop frees it
+        v = topo.pop()
         if v._backward is not None and v.grad is not None:
             grads = v._backward(v.grad)
             if not isinstance(grads, tuple):
                 grads = (grads,)
             for p, g in zip(v._parents, grads, strict=True):
                 accumulate(p, g)
+            v.grad, v._backward, v._parents = None, _spent, ()
             grads = g = None  # free this node's gradients before the next runs
 
 

@@ -1,5 +1,7 @@
 """Tape mechanics: accumulation, topological order, no_grad, op routing."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,35 @@ def test_no_grad_detaches_results():
     assert y._parents == () and y._backward is None
     y.backward()           # no-op apart from seeding y itself
     assert x.grad is None
+
+
+def test_second_backward_over_a_used_graph_raises():
+    x = Var(np.array([1.0, 2.0]))
+    y = ag.const_mul(ag.add(x, x), 3.0)
+    ag.run_backward(y)
+    assert np.array_equal(x.grad, [6.0, 6.0])
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ag.run_backward(y)
+    assert np.array_equal(x.grad, [6.0, 6.0])
+    # a new graph over a used node fails before adding into any leaf
+    w = Var(np.array([1.0, 1.0]))
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ag.run_backward(ag.add(y, w))
+    assert w.grad is None and np.array_equal(x.grad, [6.0, 6.0])
+
+
+def test_backward_frees_interior_nodes():
+    # once y's closure has run, nothing holds a: its array dies while the
+    # caller still holds y (Var has __slots__, so watch a.data, an ndarray)
+    x = Var(np.array([1.0, 2.0]))
+    a = ag.const_mul(x, 2.0)
+    y = ag.const_mul(a, 3.0)
+    freed = weakref.ref(a.data)
+    del a
+    assert freed() is not None
+    ag.run_backward(y)
+    assert freed() is None
+    assert np.array_equal(x.grad, [6.0, 6.0])
 
 
 def test_zero_grads_resets():

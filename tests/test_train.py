@@ -3,15 +3,18 @@
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lungseg3d import autograd as ag
 from lungseg3d.autograd import Var
 from lungseg3d.cli import main
 from lungseg3d.data import (SplitManifest, load_sample, make_phantom,
                             save_manifest, save_sample)
+from lungseg3d.losses import combined_term
 from lungseg3d.networks import NetworkConfig, build_network
 from lungseg3d.train import (LOG_HEADER, AdamState, NonFiniteError,
                              TrainState, adam_step, evaluate, load_checkpoint,
@@ -394,6 +397,29 @@ def test_train_missing_sample_raises(tmp_path):
     with pytest.raises(RuntimeError):
         train("nodule", man, d, tmp_path / "x", _nodule_config(), epochs=1,
               seed=0)
+
+
+def test_backward_peak_stays_near_the_forward_tape():
+    """The forward and loss of one train step at the nodule workload's
+    geometry, then its backward, under tracemalloc: freeing each node once
+    it has run keeps the backward's peak within 1.25x of what the forward
+    left live (about 1.08x; 1.97x when every node lives to the end)."""
+    config = NetworkConfig(stage_channels=[8, 16, 32, 64],
+                           input_geometry=(1, 32, 32, 32))
+    net = build_network("nodule", config, 0)
+    sample = make_phantom("nodule", 32, 0)
+    tracemalloc.start()
+    try:
+        loss = combined_term(net.forward(Var(sample.image.data), "train",
+                                         np.random.default_rng(0)),
+                             sample.mask.data)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ag.run_backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * live, (live, peak)
 
 
 def test_train_stops_on_non_finite_loss(tmp_path, capsys):
