@@ -3,10 +3,10 @@
 A Var wraps an ndarray plus a backward closure. The closure is a pure
 function of the output gradient: it returns its parents' gradients as a tuple
 in parent order, or a one-parent node's gradient as a bare array, and writes
-nothing. Calling backward() on a scalar-producing graph runs the closures in
-reverse topological order; run_backward is the only place that adds a
-gradient into Var.grad. Parameters are long-lived leaf Vars whose .data the
-optimizer updates in place.
+nothing. run_backward on a scalar-producing graph runs the closures in
+reverse topological order; it alone adds gradients into Var.grad, and it
+raises on one whose shape or dtype is not its Var's. Parameters are
+long-lived leaf Vars whose .data the optimizer updates in place.
 
 run_backward consumes the graph: once a node's closure has run, the node
 drops its gradient, closure and parents, so it and its buffers are freed as
@@ -45,10 +45,6 @@ class no_grad:
         return False
 
 
-def grad_on() -> bool:
-    return _grad_enabled
-
-
 class Var:
     """Node in the backward graph: value, accumulated gradient, parents."""
 
@@ -65,32 +61,23 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Var":
-        return Var(self.data)
-
-    def backward(self, seed=None):
-        """run_backward(self, seed): consumes the graph, leaves keep .grad."""
-        run_backward(self, seed)
-
-    def __repr__(self):
-        return f"Var(shape={self.data.shape}, name={self.name!r})"
-
 
 def accumulate(v: Var, g: np.ndarray):
-    """Add g to v.grad, which always has v.data's shape and dtype.
-
-    A first gradient that already has them is stored as it is, and later
-    ones are summed out of place: add() hands the same g to both parents,
-    so a stored gradient must never be written into.
+    """Add g, an array (a NumPy scalar for a 0-d Var) of v.data's shape and
+    dtype, to v.grad; any other g raises ValueError and leaves v.grad as it
+    was. A first gradient is stored as it is, and later ones are summed out
+    of place: add() hands the same g to both parents, so a stored gradient
+    must never be written into.
     """
-    if v.grad is not None:
-        v.grad = np.add(v.grad, g, out=np.empty_like(v.data))
-    elif (isinstance(g, np.ndarray) and g.shape == v.data.shape
-          and g.dtype == v.data.dtype):
+    if not (isinstance(g, (np.ndarray, np.generic))
+            and g.shape == v.data.shape and g.dtype == v.data.dtype):
+        raise ValueError(
+            f"gradient {np.shape(g)} {getattr(g, 'dtype', type(g).__name__)}"
+            f" does not match {v.name or 'Var'} {v.data.shape} {v.data.dtype}")
+    if v.grad is None:
         v.grad = g
     else:
-        v.grad = np.zeros_like(v.data)
-        v.grad += g
+        v.grad = np.add(v.grad, g, out=np.empty_like(v.data))
 
 
 def _out(x: Var, inplace: bool):

@@ -127,6 +127,12 @@ class TConv3d(Module):
         return _record(self.name, ag.tconv(x, self.w, self.b, self.spec))
 
 
+def upsample2(name: str, c_in: int, c_out: int, rng, dtype) -> TConv3d:
+    """The 2x2x2 stride-2 transposed conv that doubles each extent."""
+    return TConv3d(name, ConvSpec(c_in, c_out, kernel=(2, 2, 2),
+                                  stride=(2, 2, 2)), rng, dtype)
+
+
 class BatchNorm3d(Module):
     """Batchnorm layer: learnable gain/offset Vars plus running stats. Under
     no_grad it normalizes its input in place."""
@@ -152,8 +158,8 @@ def _dilated3(c_in, c_out, stride=1):
 class ResidualBlock3d(Module):
     """Two dilated 3x3x3 conv+BN layers with a ReLU between, added to a skip.
 
-    The skip is the identity when shapes match, otherwise a strided 1x1x1
-    projection. Output is ReLU(skip(x) + branch(x)).
+    The skip is a strided 1x1x1 projection, as every block of both nets
+    changes its width or resolution. Output is ReLU(skip(x) + branch(x)).
     """
 
     def __init__(self, name: str, c_in: int, c_out: int, stride: int, rng,
@@ -165,22 +171,16 @@ class ResidualBlock3d(Module):
         self.conv2 = Conv3d(f"{name}.conv2", _dilated3(c_out, c_out, 1),
                             rng, dtype)
         self.bn2 = BatchNorm3d(f"{name}.bn2", c_out, dtype)
-        if stride != 1 or c_in != c_out:
-            self.skip = Conv3d(
-                f"{name}.skip",
-                ConvSpec(c_in, c_out, kernel=(1, 1, 1), stride=stride),
-                rng, dtype)
-        else:
-            self.skip = None
+        self.skip = Conv3d(
+            f"{name}.skip",
+            ConvSpec(c_in, c_out, kernel=(1, 1, 1), stride=stride), rng, dtype)
 
     def forward(self, x: Var, mode: str) -> Var:
         f = self.bn1(self.conv1(x), mode)
         f = ag.relu(f, inplace=True)
         f = self.bn2(self.conv2(f), mode)
-        s = self.skip(x) if self.skip is not None else x
-        # into the branch f, never into s, which may be the block input
-        return _record(self.name,
-                       ag.relu(ag.add(s, f, inplace=True), inplace=True))
+        return _record(self.name, ag.relu(
+            ag.add(self.skip(x), f, inplace=True), inplace=True))
 
 
 class AttentionGate3d(Module):
@@ -197,9 +197,7 @@ class AttentionGate3d(Module):
         f = max(1, c_x // 2)
         self.enc_proj = Conv3d(f"{name}.enc_proj", _dilated3(c_x, f), rng, dtype)
         self.gate_proj = Conv3d(f"{name}.gate_proj", _dilated3(c_g, f), rng, dtype)
-        self.gate_up = TConv3d(
-            f"{name}.gate_up",
-            ConvSpec(f, f, kernel=(2, 2, 2), stride=(2, 2, 2)), rng, dtype)
+        self.gate_up = upsample2(f"{name}.gate_up", f, f, rng, dtype)
         self.mix = Conv3d(f"{name}.mix", _dilated3(f, f), rng, dtype)
         self.mask_head = Conv3d(f"{name}.mask_head", _dilated3(f, 1), rng, dtype)
         self.input_proj = Conv3d(

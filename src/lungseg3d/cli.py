@@ -308,10 +308,7 @@ def main(argv=None) -> int:
         print(json.dumps({k: v for k, v in vars(args).items()
                           if k != "config"}, sort_keys=True))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NonFiniteError, FloatingPointError) as exc:
+    except (UsageError, ValueError, NonFiniteError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -441,16 +441,16 @@ def load_manifest(path) -> SplitManifest:
 
 def _preprocess_pair(image_mhd, mask_mhd, out_dir, sample_id: str,
                      crop) -> Sample:
-    """Load a MetaImage pair, binarize the mask, cut both volumes with
-    crop(image, mask) -> (img, msk), window the image, save the sample."""
+    """Load a MetaImage pair, cut both volumes with crop(image, mask) ->
+    (img, msk), binarize the mask (`> 0` commutes with every crop, so no
+    full-volume copy is made), window the image, save the sample."""
     image, meta = load_mhd(image_mhd)
     image, mask = image.data, load_mhd(mask_mhd)[0].data
     if image.shape != mask.shape:
         raise ValueError(f"image shape {image.shape} != mask shape {mask.shape}")
-    # the binary mask replaces the raw one, which is freed before crop runs
-    mask = (mask > 0).astype(np.float32)
     img, msk = crop(image, mask)
     img = window_intensity(img).astype(np.float32)
+    msk = (msk > 0).astype(np.float32)
     sample = Sample(image=Tensor5(img), mask=Tensor5(msk),
                     spacing=meta.spacing, origin=meta.origin, id=sample_id)
     save_sample(sample, out_dir)

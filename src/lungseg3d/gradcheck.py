@@ -279,14 +279,14 @@ def _run_row(row: Row, seed):
     if row.build:
         tensors += [(v.name, v) for v in args[0].params()]
     out = lambda: row.call(*args)
-    with ag.no_grad():
-        shape = out().data.shape
     loss_fn = out
-    if shape:  # a 0-d output is already the probe scalar
-        r = _rand(rng, shape)
+    loss = out()
+    if loss.data.shape:  # a 0-d output is already the probe scalar
+        r = _rand(rng, loss.data.shape)
         loss_fn = lambda: _project(out(), r)
+        loss = _project(loss, r)
     ag.zero_grads([v for _, v in tensors])
-    ag.run_backward(loss_fn())
+    ag.run_backward(loss)
 
     def f(_buf):
         with ag.no_grad():

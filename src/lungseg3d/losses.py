@@ -170,14 +170,8 @@ def export_heatmap(p, slice_index: int, path, color: bool = False) -> None:
     sl = arr[0, 0, slice_index]
     v = _slice_to_bytes(sl)
     h, w = v.shape
-    path = str(path)
     if color:
-        r, g, b = _blue_red(v)
-        pix = np.stack([r, g, b], axis=-1)
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(pix.tobytes())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(v.tobytes())
+        v = np.stack(_blue_red(v), axis=-1)
+    with open(path, "wb") as fh:
+        fh.write(f"P{6 if color else 5}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(v.tobytes())

@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Var
 from .blocks import (AttentionGate3d, Conv3d, DoubleConvBlock3d, Module,
-                     ResidualBlock3d, TConv3d, WindowAttention3d)
+                     ResidualBlock3d, WindowAttention3d, upsample2)
 from .ops import ConvSpec
 from .tensor import Tensor5
 
@@ -96,10 +96,6 @@ class GatedResidualUNet3d(Module):
         self.enc4 = ResidualBlock3d("enc4", c3, c4, 2, rng, dtype)
         self.bottleneck = ResidualBlock3d("bottleneck", c4, cb, 1, rng, dtype)
 
-        def up(name, ci, co):
-            return TConv3d(name, ConvSpec(ci, co, kernel=(2, 2, 2),
-                                          stride=(2, 2, 2)), rng, dtype)
-
         def mix(name, c):
             return Conv3d(name, ConvSpec(c, c, kernel=(3, 3, 3),
                                          padding=(1, 1, 1)), rng, dtype)
@@ -111,7 +107,7 @@ class GatedResidualUNet3d(Module):
         gate_ch = (cb, c4, c3, c2)
         up_io = ((cb, c4), (c4, c3), (c3, c2), (c2, c1))
         self.decoder = [
-            (up(f"up{s}", ui, uo), mix(f"mix{s}", uo),
+            (upsample2(f"up{s}", ui, uo, rng, dtype), mix(f"mix{s}", uo),
              AttentionGate3d(f"gate{s}", tc, gc, rng, dtype),
              ResidualBlock3d(f"dec{s}", tc + uo, uo, 1, rng, dtype))
             for s, (ui, uo), tc, gc in zip((4, 3, 2, 1), up_io, tap_ch, gate_ch)]
@@ -184,14 +180,10 @@ class WindowAttentionUNet3d(Module):
         self.attn = WindowAttention3d("attn", nb, config.attn_window, rng,
                                       dtype)
 
-        def up(name, ci, co):
-            return TConv3d(name, ConvSpec(ci, co, kernel=(2, 2, 2),
-                                          stride=(2, 2, 2)), rng, dtype)
-
         # Every up is built before every dec: the order of the RNG draws
         # fixes the initial weights. The decoder pairs them by stage.
-        ups = [up("up4", nb, n4), up("up3", n4, n3),
-               up("up2", n3, n2), up("up1", n2, n1)]
+        ups = [upsample2(f"up{s}", ci, co, rng, dtype) for s, ci, co in
+               ((4, nb, n4), (3, n4, n3), (2, n3, n2), (1, n2, n1))]
         self.decoder = list(zip(ups, [
             DoubleConvBlock3d(f"dec{s}", 2 * n, n, rate, rng, dtype)
             for s, n in ((4, n4), (3, n3), (2, n2), (1, n1))]))

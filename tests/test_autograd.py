@@ -1,5 +1,6 @@
 """Tape mechanics: accumulation, topological order, no_grad, op routing."""
 
+import re
 import weakref
 
 import numpy as np
@@ -17,17 +18,17 @@ def _var(rng, shape):
 def test_var_basics():
     v = Var(np.ones((1, 1, 2, 2, 2)), name="x")
     assert v.shape == (1, 1, 2, 2, 2)
-    assert v.grad is None
-    assert "x" in repr(v)
-    d = v.detach()
-    assert np.shares_memory(d.data, v.data) or np.array_equal(d.data, v.data)
+    assert v.grad is None and v.name == "x"
+    assert v._parents == () and v._backward is None  # a leaf
+    d = Var(v.data)  # a detached view of v
+    assert np.shares_memory(d.data, v.data)
     assert d._parents == () and d._backward is None
 
 
 def test_backward_accumulates_shared_input():
     x = Var(np.full((1, 1, 1, 1, 2), 3.0))
     y = ag.add(x, x)  # dy/dx = 2
-    y.backward()
+    ag.run_backward(y)
     assert np.array_equal(x.grad, np.full(x.shape, 2.0))
 
 
@@ -39,7 +40,7 @@ def test_backward_diamond_graph_single_visit():
     b = ag.const_mul(a, 5.0)
     c = ag.const_mul(a, 7.0)
     y = ag.add(b, c)
-    y.backward()
+    ag.run_backward(y)
     assert x.grad[0] == 3.0 * (5.0 + 7.0)
 
 
@@ -55,17 +56,38 @@ def test_accumulate_never_writes_into_a_shared_gradient():
     assert np.array_equal(b.grad, [1.0, 2.0, 3.0])
     assert np.array_equal(g, [1.0, 2.0, 3.0])
     assert np.array_equal(a.grad, [11.0, 12.0, 13.0])
-    # a gradient of another dtype or a broadcast shape lands in v.data's
-    # dtype and shape, first or later
-    c = Var(np.zeros((2, 3), dtype=np.float32))
-    ag.accumulate(c, np.ones(3))
-    ag.accumulate(c, np.ones((2, 3)))
-    assert c.grad.dtype == np.float32 and c.grad.shape == (2, 3)
-    assert np.array_equal(c.grad, np.full((2, 3), 2.0))
-    d = Var(np.zeros(3, dtype=np.float32))
-    ag.accumulate(d, np.ones(3, dtype=np.float32))
-    ag.accumulate(d, np.ones(3))
-    assert d.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("g,named", [
+    (np.ones(3, dtype=np.float32), "(3,) float32"),
+    (np.ones((2, 3)), "(2, 3) float64"),
+    (np.ones((1, 3), dtype=np.float32), "(1, 3) float32"),
+    ([[1.0] * 3] * 2, "(2, 3) list"),
+    (1.0, "() float"),
+], ids=["shape", "dtype", "broadcastable", "list", "python-float"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+def test_accumulate_rejects_a_gradient_that_does_not_match(g, named, first):
+    # no gradient is cast or broadcast: a mismatch names both sides and
+    # leaves v.grad as it was, whether or not v already had one
+    v = Var(np.zeros((2, 3), dtype=np.float32), name="w")
+    before = None if first else np.ones((2, 3), dtype=np.float32)
+    if before is not None:
+        ag.accumulate(v, before)
+    with pytest.raises(ValueError, match=re.escape(
+            f"gradient {named} does not match w (2, 3) float32")):
+        ag.accumulate(v, g)
+    assert v.grad is before
+    if before is not None:
+        assert np.array_equal(before, np.ones((2, 3)))
+
+
+def test_zero_d_graph_backpropagates():
+    # NumPy returns a scalar, not an array, for a 0-d operand: a gradient of
+    # the right shape and dtype is accepted in that form too
+    x = Var(np.array(2.0))
+    ag.run_backward(ag.sigmoid(ag.relu(ag.const_mul(x, 3.0))))
+    s = 1.0 / (1.0 + np.exp(-6.0))
+    assert np.isclose(x.grad, 3.0 * s * (1.0 - s)) and x.grad.shape == ()
 
 
 @pytest.mark.parametrize("backward", [lambda g: (g,), lambda g: g],
@@ -95,14 +117,16 @@ def test_backward_custom_seed():
 
 
 def test_no_grad_detaches_results():
-    assert ag.grad_on()
     x = Var(np.ones((1, 1, 2, 2, 2)))
     with ag.no_grad():
-        assert not ag.grad_on()
         y = ag.relu(x)
-    assert ag.grad_on()
+        with ag.no_grad():
+            pass
+        z = ag.relu(x)  # leaving a nested block keeps recording off
     assert y._parents == () and y._backward is None
-    y.backward()           # no-op apart from seeding y itself
+    assert z._parents == () and z._backward is None
+    assert ag.relu(x)._parents == (x,)  # and leaving the outer one restores it
+    ag.run_backward(y)     # no-op apart from seeding y itself
     assert x.grad is None
 
 
@@ -138,7 +162,7 @@ def test_backward_frees_interior_nodes():
 def test_zero_grads_resets():
     x = Var(np.ones(3))
     y = ag.const_mul(x, 2.0)
-    y.backward()
+    ag.run_backward(y)
     assert x.grad is not None
     ag.zero_grads([x])
     assert x.grad is None
@@ -146,8 +170,8 @@ def test_zero_grads_resets():
 
 def test_detach_blocks_gradient_flow():
     x = Var(np.array([5.0]))
-    y = ag.const_mul(x.detach(), 2.0)
-    y.backward()
+    y = ag.const_mul(Var(x.data), 2.0)
+    ag.run_backward(y)
     assert x.grad is None
 
 
@@ -184,7 +208,7 @@ def test_conv_tconv_ops_route_three_gradients():
     up = ConvSpec(3, 2, kernel=(2, 2, 2), stride=(2, 2, 2))
     wt = _var(rng, (3, 2, 2, 2, 2))
     bt = _var(rng, (2,))
-    z = ag.tconv(y.detach(), wt, bt, up)
+    z = ag.tconv(Var(y.data), wt, bt, up)
     assert z.shape == (1, 2, 8, 8, 8)
     ag.run_backward(z, np.ones(z.shape))
     assert wt.grad.shape == wt.shape and bt.grad.shape == bt.shape
@@ -353,5 +377,5 @@ def test_maxpool_and_dropout_ops():
     assert np.all(z.grad[dropped] == 0.0)
     assert np.allclose(z.grad[~dropped], 2.0)  # 1 / (1 - rate)
 
-    e = ag.dropout(z.detach(), 0.5, "eval", None)
+    e = ag.dropout(Var(z.data), 0.5, "eval", None)
     assert np.array_equal(e.data, z.data)

@@ -55,15 +55,15 @@ def test_batchnorm_layer_shares_buffers_with_vars():
 # ---------------------------------------------------------------------------
 
 def test_residual_block_zero_weights_is_relu_of_skip():
-    blk = ResidualBlock3d("r", 3, 3, 1, _rng(2), dtype=np.float64)
-    assert blk.skip is None  # same channels, stride 1 -> identity skip
+    blk = ResidualBlock3d("r", 2, 3, 1, _rng(2), dtype=np.float64)
     for layer in (blk.conv1, blk.conv2):
         layer.w.data[...] = 0.0
-    x = Var(_rng(3).standard_normal((1, 3, 4, 4, 4)))
+    x = Var(_rng(3).standard_normal((1, 2, 4, 4, 4)))
+    skip = blk.skip(x).data
     y = blk.forward(x, "train")
     # zeroed branch contributes exactly 0 (BN of a constant stays 0),
-    # so the block collapses to ReLU(x)
-    assert np.array_equal(y.data, np.maximum(x.data, 0.0))
+    # so the block collapses to ReLU of its 1x1x1 projection skip
+    assert np.array_equal(y.data, np.maximum(skip, 0.0))
 
 
 def test_residual_block_strided_halves_spatial():
@@ -79,9 +79,11 @@ def test_residual_block_strided_halves_spatial():
 
 def test_residual_block_projection_skip_on_channel_change():
     blk = ResidualBlock3d("r", 2, 5, 1, _rng(6))
-    assert blk.skip is not None
+    assert blk.skip.spec == ConvSpec(2, 5, kernel=(1, 1, 1))
     assert len(list(blk.params())) == 10  # 2 convs + 2 bns + skip, w/b pairs
-    assert len(list(ResidualBlock3d("r", 3, 3, 1, _rng(7)).params())) == 8
+    # the skip is always a projection: no block of either net keeps both
+    # its width and its resolution (test_networks walks them)
+    assert len(list(ResidualBlock3d("r", 3, 3, 1, _rng(7)).params())) == 10
 
 
 def test_residual_block_params_in_assignment_order():

@@ -1,5 +1,7 @@
 """Data pipeline: MetaImage IO, preprocessing, phantoms, splits, storage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,31 @@ def test_preprocess_nodule_chain(tmp_path):
     # centroid of the blob lands at the block center
     assert sample.mask.data[0, 0, 8, 8, 8] == 1.0
     assert sample.image.data.min() >= 0.0 and sample.image.data.max() <= 1.0
+
+
+@pytest.mark.parametrize("chain,kw", [(preprocess_lung, {"target": (64, 64)}),
+                                      (preprocess_nodule, {"size": 32})],
+                         ids=["lung", "nodule"])
+def test_preprocess_binarizes_only_the_cut_mask(tmp_path, chain, kw):
+    """The mask is binarized after the crop, so no full-volume binary copy
+    sits beside the loaded f32 image and mask: at most 12 traced bytes per
+    input voxel (13 when the whole mask was binarized first)."""
+    rng = np.random.default_rng(14)
+    shape = (1, 1, 60, 128, 128)
+    img = rng.integers(-1200, 600, size=shape).astype(np.float32)
+    msk = np.zeros(shape, dtype=np.float32)
+    msk[0, 0, 25:35, 50:70, 60:80] = 1.0
+    write_mhd(tmp_path / "img.mhd", img, element_type="MET_SHORT")
+    write_mhd(tmp_path / "msk.mhd", msk, element_type="MET_UCHAR")
+    del img, msk
+    tracemalloc.start()
+    try:
+        chain(tmp_path / "img.mhd", tmp_path / "msk.mhd", tmp_path / "out",
+              "case0", **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / np.prod(shape) <= 12.0
 
 
 def test_returned_volumes_have_the_data_and_shape_the_benchmark_reads(

@@ -91,7 +91,7 @@ def test_tape_terms_match_scalar_api():
 def _fd_scalar(fn, p, tol=1e-6):
     v = Var(p.copy())
     out = fn(v)
-    out.backward()
+    ag.run_backward(out)
     h = 1e-7
     flat = v.data.reshape(-1)
     gflat = v.grad.reshape(-1)
@@ -119,7 +119,7 @@ def test_bce_gradient_vanishes_outside_clamp():
     mask = _shape5(1.0, 0.0)
     p = _shape5(1.0 - 1e-9, 0.3)  # first voxel beyond the clamp edge
     v = Var(p)
-    bce_term(v, mask).backward()
+    ag.run_backward(bce_term(v, mask))
     assert v.grad[0, 0, 0, 0, 0] == 0.0
     assert v.grad[0, 0, 0, 0, 1] != 0.0
 

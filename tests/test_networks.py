@@ -56,6 +56,23 @@ def test_default_configs():
     assert nod.input_geometry == (1, 64, 64, 64)
 
 
+@pytest.mark.parametrize("kind", ["lung", "nodule"])
+@pytest.mark.parametrize("widths", [None, [8, 16, 32, 64]],
+                         ids=["default", "desk"])
+def test_every_residual_block_changes_width_or_resolution(kind, widths):
+    # so a residual block's skip is always its strided 1x1x1 projection
+    base = lung_default_config() if kind == "lung" else nodule_default_config()
+    net = build_network(kind, NetworkConfig(
+        stage_channels=widths or base.stage_channels,
+        input_geometry=base.input_geometry), 0)
+    found = list(blocks._walk(net, ResidualBlock3d))
+    assert len(found) == (9 if kind == "lung" else 0)
+    for blk in found:
+        spec = blk.conv1.spec
+        assert (spec.in_channels != spec.out_channels
+                or spec.stride != (1, 1, 1)), blk.name
+
+
 # ---------------------------------------------------------------------------
 # lung network
 # ---------------------------------------------------------------------------
@@ -419,4 +436,5 @@ def test_predict_volume_leaves_no_graph():
     net = _nodule()
     x = np.zeros((1, 1, 16, 16, 16), dtype=np.float32)
     predict_volume(net, x, 0.5)
-    assert ag.grad_on()  # context manager restored recording
+    y = ag.relu(Var(x))
+    assert y._parents and y._backward  # context manager restored recording
