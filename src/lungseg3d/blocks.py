@@ -96,13 +96,16 @@ class Module:
 
 
 class Conv3d(Module):
-    """A conv3d layer owning weight/bias Vars."""
+    """A conv3d layer owning weight/bias Vars, its weight (out, in, *k)."""
+
+    transposed = False
 
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
         self.name = name
         self.spec = spec
+        io = (spec.out_channels, spec.in_channels)
         self.w = Var(fan_in_normal(
-            rng, (spec.out_channels, spec.in_channels) + spec.kernel,
+            rng, (io[::-1] if self.transposed else io) + spec.kernel,
             spec.in_channels, dtype), name=f"{name}.weight")
         self.b = Var(np.zeros(spec.out_channels, dtype=dtype),
                      name=f"{name}.bias")
@@ -111,17 +114,10 @@ class Conv3d(Module):
         return _record(self.name, ag.conv(x, self.w, self.b, self.spec))
 
 
-class TConv3d(Module):
-    """A transposed conv3d layer owning weight/bias Vars."""
+class TConv3d(Conv3d):
+    """A transposed conv3d layer, its weight (in, out, *k)."""
 
-    def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
-        self.name = name
-        self.spec = spec
-        self.w = Var(fan_in_normal(
-            rng, (spec.in_channels, spec.out_channels) + spec.kernel,
-            spec.in_channels, dtype), name=f"{name}.weight")
-        self.b = Var(np.zeros(spec.out_channels, dtype=dtype),
-                     name=f"{name}.bias")
+    transposed = True
 
     def __call__(self, x: Var) -> Var:
         return _record(self.name, ag.tconv(x, self.w, self.b, self.spec))

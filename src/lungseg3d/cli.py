@@ -23,7 +23,7 @@ from . import data, gradcheck
 from .losses import export_heatmap
 from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
-from .tensor import INTEGER, INTEGERS, NUMBER, STRING, read_json
+from .tensor import INTEGER, INTEGERS, NUMBER, STRING, read_json, write_json
 from .train import NonFiniteError, evaluate, load_checkpoint, train
 
 
@@ -258,11 +258,9 @@ def _cmd_eval(args) -> int:
     agg, rows = evaluate(state.net, ids, args.sample_dir, args.threshold)
     report = {"aggregate": agg.as_dict(), "per_sample": rows,
               "split": args.split}
-    text = json.dumps(report, sort_keys=True, indent=1)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, report, indent=1)
+    print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 
 

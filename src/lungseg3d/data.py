@@ -11,13 +11,13 @@ closed form.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import INTEGER, STRING, Tensor5, load_array, read_json, save_array
+from .tensor import (INTEGER, STRING, Tensor5, load_array, read_json,
+                     save_array, write_json)
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),
@@ -358,9 +358,7 @@ def save_sample(sample: Sample, out_dir) -> None:
     save_array(sample.mask.data, base + ".mask")
     meta = {"id": sample.id, "spacing": list(sample.spacing),
             "origin": list(sample.origin)}
-    with open(base + ".meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(base + ".meta.json", meta)
 
 
 def load_sample(sample_dir, sample_id: str) -> Sample:
@@ -419,9 +417,7 @@ def split_dataset(ids, seed: int) -> SplitManifest:
 def save_manifest(manifest: SplitManifest, path) -> None:
     payload = {"train": manifest.train, "val": manifest.val,
                "test": manifest.test, "seed": manifest.seed}
-    with open(str(path), "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload, indent=1)
 
 
 def load_manifest(path) -> SplitManifest:
@@ -469,11 +465,15 @@ def preprocess_lung(image_mhd, mask_mhd, out_dir, sample_id: str,
 
 
 def mask_centroid(mask: np.ndarray) -> tuple:
-    """Rounded centroid (d, h, w) of the foreground voxels."""
-    idx = np.argwhere(mask[0, 0] > 0)
-    if idx.size == 0:
+    """Rounded centroid (d, h, w) of the foreground voxels. Per axis, the
+    sum of index * count is an exact integer below 2**53, so dividing it by
+    n gives the mean of the voxel indices bit for bit, with no index array."""
+    fg = mask[0, 0] > 0
+    n = int(np.count_nonzero(fg))
+    if n == 0:
         raise ValueError("mask has no foreground voxels")
-    return tuple(int(round(float(c))) for c in idx.mean(axis=0))
+    counts = (fg.sum(axis=(1, 2)), fg.sum(axis=(0, 2)), fg.sum(axis=(0, 1)))
+    return tuple(int(round(float(np.arange(c.size) @ c) / n)) for c in counts)
 
 
 def preprocess_nodule(image_mhd, mask_mhd, out_dir, sample_id: str,

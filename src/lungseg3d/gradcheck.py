@@ -133,33 +133,6 @@ def _rand(rng, shape):
 # Targets
 # ---------------------------------------------------------------------------
 
-# Tape op (autograd/losses function) -> gradcheck target covering it.
-TAPE_OP_TARGETS = {
-    "conv": "conv3d",
-    "tconv": "tconv3d",
-    "batchnorm": "batchnorm3d",
-    "relu": "relu",
-    "sigmoid": "sigmoid",
-    "maxpool": "maxpool3d",
-    "dropout": "dropout",
-    "concat": "concat",
-    "slice_channels": "slice_channels",
-    "center_crop": "center_crop",
-    "pad": "pad",
-    "add": "add",
-    "scale_by": "scale_by",
-    "const_mul": "const_mul",
-    "channel_scale": "channel_scale",
-    "softmax_lastdim": "softmax",
-    "unfold": "unfold",
-    "fold": "fold",
-    "matmul_qk": "matmul_qk",
-    "matmul_av": "matmul_av",
-    "bce_term": "bce_loss",
-    "dice_term": "dice_loss",
-    "combined_term": "combined_loss",
-}
-
 BLOCK_TARGETS = ("residual_block", "attention_gate", "window_attention",
                  "conv_block")
 NETWORK_TARGETS = ("lung_net", "nodule_net")
@@ -245,6 +218,7 @@ class Row:
     tol: float = TOL_DEFAULT
     sample: int = 0
     note: str = ""
+    op: str = ""                # the autograd or losses function certified
 
     @property
     def target(self) -> str:
@@ -359,7 +333,8 @@ def _conv_rows(target, op, tag, cases):
             f"{target}[{label}]", (tag, i),
             (("x", _normal(shape)), ("weight", _normal(w_shape, 0.5)),
              ("bias", _normal((spec.out_channels,)))),
-            lambda x, w, b, op=op, spec=spec: getattr(ag, op)(x, w, b, spec)))
+            lambda x, w, b, op=op, spec=spec: getattr(ag, op)(x, w, b, spec),
+            op=op))
     return rows
 
 
@@ -412,59 +387,63 @@ TABLE = (
            ("gamma", _uniform(0.5, 1.5, (3,))), ("beta", _normal((3,)))),
           lambda x, g, b, rm, rv, mode=mode: ag.batchnorm(
               x, g, b, BatchNormState(rm, rv), mode),
-          consts=(_normal((3,), 0.1), _uniform(0.5, 1.5, (3,))))
+          consts=(_normal((3,), 0.1), _uniform(0.5, 1.5, (3,))),
+          op="batchnorm")
       for i, mode in enumerate(("train", "eval"))),
     Row("relu", (0xA0,), (("x", _off_kink(_X)),), lambda x: ag.relu(x),
-        note="inputs within 0.05 of zero nudged by 0.1"),
-    Row("sigmoid", (0xA1,), (("x", _normal(_X)),), lambda x: ag.sigmoid(x)),
+        op="relu", note="inputs within 0.05 of zero nudged by 0.1"),
+    Row("sigmoid", (0xA1,), (("x", _normal(_X)),), lambda x: ag.sigmoid(x),
+        op="sigmoid"),
     Row("softmax", (0xA2,), (("x", _normal((2, 3, 5, 7))),),
-        lambda x: ag.softmax_lastdim(x)),
+        lambda x: ag.softmax_lastdim(x), op="softmax_lastdim"),
     Row("maxpool3d", (0xA3,), (("x", _normal((1, 2, 4, 4, 6))),),
-        lambda x: ag.maxpool(x, (2, 2, 2))),
+        lambda x: ag.maxpool(x, (2, 2, 2)), op="maxpool"),
     # A mask seed drawn as a constant keeps the mask fixed across probes.
     Row("dropout[train]", (0xA4,), (("x", _normal(_X)),),
         lambda x, s: ag.dropout(x, 0.3, "train", np.random.default_rng(s)),
-        consts=(lambda rng: rng.integers(2 ** 63),),
+        consts=(lambda rng: rng.integers(2 ** 63),), op="dropout",
         note="mask fixed via seeded rng"),
     Row("dropout[eval]", (0xA5,), (("x", _normal(_X)),),
-        lambda x: ag.dropout(x, 0.3, "eval", None)),
+        lambda x: ag.dropout(x, 0.3, "eval", None), op="dropout"),
     Row("concat", (0xA6,), (("a", _normal(_X3)),
                             ("b", _normal((1, 3, 3, 3, 3)))),
-        lambda a, b: ag.concat(a, b)),
+        lambda a, b: ag.concat(a, b), op="concat"),
     Row("slice_channels", (0xA7,), (("x", _normal((1, 6, 3, 3, 3))),),
-        lambda x: ag.slice_channels(x, 2, 4)),
+        lambda x: ag.slice_channels(x, 2, 4), op="slice_channels"),
     Row("center_crop", (0xA8,), (("x", _normal((1, 2, 6, 7, 6))),),
-        lambda x: ag.center_crop(x, (3, 4, 4))),
+        lambda x: ag.center_crop(x, (3, 4, 4)), op="center_crop"),
     Row("pad", (0xA9,), (("x", _normal(_X3)),),
-        lambda x: ag.pad(x, ((1, 2), (0, 1), (2, 0)))),
+        lambda x: ag.pad(x, ((1, 2), (0, 1), (2, 0))), op="pad"),
     Row("add", (0xAA,), (("a", _normal(_X3)), ("b", _normal(_X3))),
-        lambda a, b: ag.add(a, b)),
+        lambda a, b: ag.add(a, b), op="add"),
     Row("scale_by", (0xAB,), (("x", _normal(_X3)),
                               ("scale", lambda rng: np.asarray(0.7))),
-        lambda x, s: ag.scale_by(x, s)),
+        lambda x, s: ag.scale_by(x, s), op="scale_by"),
     Row("const_mul", (0xAC,), (("x", _normal(_X3)),),
-        lambda x: ag.const_mul(x, 0.37)),
+        lambda x: ag.const_mul(x, 0.37), op="const_mul"),
     Row("channel_scale", (0xAD,),
         (("x", _normal((1, 3, 3, 3, 3))),
          ("scale_map", _uniform(0.1, 0.9, (1, 1, 3, 3, 3)))),
-        lambda x, s: ag.channel_scale(x, s)),
+        lambda x, s: ag.channel_scale(x, s), op="channel_scale"),
     Row("unfold", (0xAE,), (("x", _normal((1, 3, 4, 4, 4))),),
-        lambda x: ag.unfold(x, (2, 2, 2))),
+        lambda x: ag.unfold(x, (2, 2, 2)), op="unfold"),
     Row("fold", (0xAF,), (("tokens", _normal((1, 8, 8, 3))),),
-        lambda t: ag.fold(t, (2, 2, 2), (4, 4, 4))),
+        lambda t: ag.fold(t, (2, 2, 2), (4, 4, 4)), op="fold"),
     Row("matmul_qk", (0xB1,), (("q", _normal((1, 3, 4, 2))),
                                ("k", _normal((1, 3, 4, 2)))),
-        lambda q, k: ag.matmul_qk(q, k)),
+        lambda q, k: ag.matmul_qk(q, k), op="matmul_qk"),
     Row("matmul_av", (0xB2,), (("attn", _normal((1, 3, 4, 4))),
                                ("v", _normal((1, 3, 4, 2)))),
-        lambda a, v: ag.matmul_av(a, v)),
+        lambda a, v: ag.matmul_av(a, v), op="matmul_av"),
     Row("bce_loss", (0xBE,), (("p", _uniform(0.05, 0.95, _P)),),
-        lambda p, m: losses.bce_term(p, m), consts=(_mask(_P),), tol=1e-6),
+        lambda p, m: losses.bce_term(p, m), consts=(_mask(_P),), tol=1e-6,
+        op="bce_term"),
     Row("dice_loss", (0xD1,), (("p", _uniform(0.05, 0.95, _P)),),
-        lambda p, m: losses.dice_term(p, m), consts=(_mask(_P),), tol=1e-6),
+        lambda p, m: losses.dice_term(p, m), consts=(_mask(_P),), tol=1e-6,
+        op="dice_term"),
     Row("combined_loss", (0xC2,), (("p", _uniform(0.05, 0.95, _P)),),
         lambda p, m: losses.combined_term(p, m), consts=(_mask(_P),),
-        tol=1e-6),
+        tol=1e-6, op="combined_term"),
     *(Row(f"residual_block[s{s}]", (0xE0, s), (("x", _normal(_X)),),
           lambda blk, x: blk.forward(x, "train"), h=H_DEEP,
           build=lambda rng, _, s=s: ResidualBlock3d("rb", 2, 3, s, rng,
@@ -491,6 +470,12 @@ TABLE = (
     Row("lung_net", (0xF0,), (),
         lambda net, x: net.forward(Var(x), "train"), consts=(_normal(_NET_X),),
         build=_lung_net, h=H_DEEP, tol=TOL_NETWORK, sample=60),
+    # Odd extents, as at the paper geometry, run through the net's pad and
+    # crop: 13x20x18 pads to 16x32x32, 4 voxels a sample at the deepest stage.
+    Row("lung_net", (0xF2,), (),
+        lambda net, x: net.forward(Var(x), "train"),
+        consts=(_normal((2, 1, 13, 20, 18)),), build=_lung_net,
+        h=H_DEEP, tol=TOL_NETWORK, sample=60),
     Row("nodule_net", (0xF1,), (),
         lambda net, x: net.forward(Var(x), "train"), consts=(_normal(_NET_X),),
         build=_nodule_net, tol=TOL_NETWORK, sample=60),
@@ -504,3 +489,5 @@ def _run_target(target, seed):
 
 CHECKS = {row.target: functools.partial(_run_target, row.target)
           for row in TABLE}
+# Tape op (autograd/losses function) -> gradcheck target covering it.
+TAPE_OP_TARGETS = {row.op: row.target for row in TABLE if row.op}

@@ -42,9 +42,12 @@ def _unwrap(x) -> np.ndarray:
     return x.data if isinstance(x, (Var, Tensor5)) else np.asarray(x)
 
 
-def _check_shapes(p, m):
+def _pair(p, mask):
+    """The arrays of a prediction and a mask, which must match in shape."""
+    p, m = _unwrap(p), _unwrap(mask)
     if p.shape != m.shape:
         raise ValueError(f"prediction shape {p.shape} != mask shape {m.shape}")
+    return p, m
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +56,7 @@ def _check_shapes(p, m):
 
 def bce_term(p: Var, mask) -> Var:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
-    m = _unwrap(mask)
-    pd = p.data
-    _check_shapes(pd, m)
+    pd, m = _pair(p, mask)
     pc = np.clip(pd, CLAMP_EPS, 1.0 - CLAMP_EPS)
     val = -(m * np.log(pc) + (1.0 - m) * np.log1p(-pc)).mean()
 
@@ -70,9 +71,7 @@ def bce_term(p: Var, mask) -> Var:
 
 def dice_term(p: Var, mask) -> Var:
     """Soft Dice loss with squared-sum denominator and smoothing."""
-    m = _unwrap(mask)
-    pd = p.data
-    _check_shapes(pd, m)
+    pd, m = _pair(p, mask)
     num = 2.0 * float((m * pd).sum())
     den = float((m * m).sum() + (pd * pd).sum()) + DICE_SMOOTH
     val = 1.0 - num / den
@@ -122,9 +121,7 @@ def seg_metrics(pred, mask) -> SegMetrics:
     Conventions: two empty masks agree perfectly (all metrics 1); a ratio
     whose denominator is empty on exactly one side reports 0.
     """
-    pd = _unwrap(pred).astype(np.float64)
-    m = _unwrap(mask).astype(np.float64)
-    _check_shapes(pd, m)
+    pd, m = (a.astype(np.float64) for a in _pair(pred, mask))
     for name, a in (("pred", pd), ("mask", m)):
         if not np.isin(a, (0.0, 1.0)).all():
             raise ValueError(f"{name} is not binary")

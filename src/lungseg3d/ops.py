@@ -78,6 +78,15 @@ def _triple(v) -> tuple[int, int, int]:
     return t
 
 
+def _window_grid(spatial, window):
+    """(window, grid): the window as a triple and the count of windows
+    along each axis of `spatial`, which the window must tile exactly."""
+    dims, win = _triple(spatial), _triple(window)
+    if any(d % w for d, w in zip(dims, win)):
+        raise ValueError(f"spatial dims {dims} not divisible by window {win}")
+    return win, tuple(d // w for d, w in zip(dims, win))
+
+
 # ---------------------------------------------------------------------------
 # Specs and parameter containers
 # ---------------------------------------------------------------------------
@@ -413,11 +422,8 @@ def maxpool3d(x, window):
     Ties go to the first index in (d, h, w) scan order, so the backward
     routing is deterministic.
     """
-    wd, wh, ww = _triple(window)
-    B, C, D, H, W = x.shape
-    if D % wd or H % wh or W % ww:
-        raise ValueError(f"spatial dims {(D, H, W)} not divisible by window {(wd, wh, ww)}")
-    od, oh, ow = D // wd, H // wh, W // ww
+    (wd, wh, ww), (od, oh, ow) = _window_grid(x.shape[2:], window)
+    B, C = x.shape[:2]
     flat = (x.reshape(B, C, od, wd, oh, wh, ow, ww)
             .transpose(0, 1, 2, 4, 6, 3, 5, 7)
             .reshape(B, C, od, oh, ow, wd * wh * ww))
@@ -428,9 +434,8 @@ def maxpool3d(x, window):
 
 def maxpool3d_backward(idx, in_shape, window, grad_out):
     """Route grad_out to the argmax voxel of each pooling window."""
-    wd, wh, ww = _triple(window)
     B, C, D, H, W = in_shape
-    od, oh, ow = D // wd, H // wh, W // ww
+    (wd, wh, ww), (od, oh, ow) = _window_grid(in_shape[2:], window)
     flat = np.zeros((B, C, od, oh, ow, wd * wh * ww), dtype=grad_out.dtype)
     np.put_along_axis(flat, idx[..., None], grad_out[..., None], axis=-1)
     gx = (flat.reshape(B, C, od, oh, ow, wd, wh, ww)
@@ -637,11 +642,8 @@ def unfold_windows(x, window) -> np.ndarray:
     index (d, h, w), N_w tokens per window ordered lexicographically by
     offset (d, h, w), channels last.
     """
-    wd, wh, ww = _triple(window)
-    B, C, D, H, W = x.shape
-    if D % wd or H % wh or W % ww:
-        raise ValueError(f"spatial dims {(D, H, W)} not divisible by window {(wd, wh, ww)}")
-    nd, nh, nw = D // wd, H // wh, W // ww
+    (wd, wh, ww), (nd, nh, nw) = _window_grid(x.shape[2:], window)
+    B, C = x.shape[:2]
     t = x.reshape(B, C, nd, wd, nh, wh, nw, ww)
     t = t.transpose(0, 2, 4, 6, 3, 5, 7, 1)
     return np.ascontiguousarray(t.reshape(B, nd * nh * nw, wd * wh * ww, C))
@@ -649,12 +651,9 @@ def unfold_windows(x, window) -> np.ndarray:
 
 def fold_windows(tokens, window, spatial) -> np.ndarray:
     """Exact inverse of unfold_windows."""
-    wd, wh, ww = _triple(window)
+    (wd, wh, ww), (nd, nh, nw) = _window_grid(spatial, window)
     D, H, W = _triple(spatial)
-    nd, nh, nw = D // wd, H // wh, W // ww
     B, N, NW, C = tokens.shape
-    if D % wd or H % wh or W % ww:
-        raise ValueError(f"spatial dims {(D, H, W)} not divisible by window {(wd, wh, ww)}")
     if N != nd * nh * nw or NW != wd * wh * ww:
         raise ValueError(
             f"token tensor {(N, NW)} inconsistent with window {(wd, wh, ww)} "

@@ -1,4 +1,4 @@
-"""The rank-5 volume record, raw+JSON array persistence and the JSON reader.
+"""The rank-5 volume record, raw+JSON array persistence, JSON read and write.
 
 `Tensor5` is what samples, `load_mhd` and `predict_volume` hand out: a
 checked (batch, channel, depth, height, width) ndarray, row-major with the
@@ -85,6 +85,13 @@ def read_json(path, what: str, keys) -> dict:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
     return check_keys(obj, f"{what} {path}", keys)
+
+
+def write_json(path, obj, indent=None) -> None:
+    """Write `obj` to file `path` as ASCII JSON with sorted keys and a final
+    newline: the one format of every JSON record but the array sidecar."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
 
 
 def load_array(base_path: str) -> np.ndarray:

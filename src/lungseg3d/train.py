@@ -8,7 +8,6 @@ is deterministic, so logs and checkpoints are byte-identical across reruns.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -22,7 +21,7 @@ from .losses import SegMetrics, combined_term, seg_metrics
 from .networks import (NetworkConfig, build_network, check_threshold,
                        predict_volume)
 from .tensor import (INTEGER, INTEGERS, NUMBER, OBJECT, STRING, check_keys,
-                     load_array, read_json, save_array)
+                     load_array, read_json, save_array, write_json)
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
 _ADAM_CHUNK = 16384  # elements per cache-resident chunk of an Adam update
@@ -133,10 +132,7 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
         "best_val_dice": state.best_val_dice,
         "tensors": tensors,
     }
-    with open(os.path.join(ckpt_dir, "manifest.json"), "w",
-              encoding="ascii") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(ckpt_dir, "manifest.json"), manifest, indent=1)
 
 
 def load_checkpoint(ckpt_dir) -> TrainState:

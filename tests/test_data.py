@@ -252,6 +252,14 @@ def test_mask_centroid():
     assert mask_centroid(m) == (2, 2, 3)
     with pytest.raises(ValueError):
         mask_centroid(np.zeros((1, 1, 2, 2, 2)))
+    # the rounded mean of the voxel indices, on random masks
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        dims = tuple(int(n) for n in rng.integers(1, 24, size=3))
+        m = (rng.random((1, 1) + dims) < rng.random()).astype(np.float32)
+        m[(0, 0) + tuple(int(rng.integers(n)) for n in dims)] = 1.0
+        want = np.argwhere(m[0, 0] > 0).mean(axis=0)
+        assert mask_centroid(m) == tuple(int(round(float(c))) for c in want)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +482,28 @@ def test_preprocess_binarizes_only_the_cut_mask(tmp_path, chain, kw):
     finally:
         tracemalloc.stop()
     assert peak / np.prod(shape) <= 12.0
+
+
+def test_nodule_centroid_of_a_dense_mask_makes_no_index_arrays(tmp_path):
+    """mask_centroid counts the foreground per axis instead of listing the
+    voxel indices: at most 12 traced bytes per input voxel with every voxel
+    foreground (57 with an (n, 3) index array and its float64 mean)."""
+    rng = np.random.default_rng(15)
+    shape = (1, 1, 60, 128, 128)
+    img = rng.integers(-1200, 600, size=shape).astype(np.float32)
+    write_mhd(tmp_path / "img.mhd", img, element_type="MET_SHORT")
+    write_mhd(tmp_path / "msk.mhd", np.ones(shape, dtype=np.float32),
+              element_type="MET_UCHAR")
+    del img
+    tracemalloc.start()
+    try:
+        sample = preprocess_nodule(tmp_path / "img.mhd", tmp_path / "msk.mhd",
+                                   tmp_path / "out", "case0", size=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / np.prod(shape) <= 12.0
+    assert sample.mask.data.all()
 
 
 def test_returned_volumes_have_the_data_and_shape_the_benchmark_reads(

@@ -72,6 +72,24 @@ def test_every_tape_op_has_a_registered_check():
     assert all_targets() == sorted(CHECKS)
 
 
+def test_each_tape_op_is_certified_by_one_op_target():
+    """TAPE_OP_TARGETS is read off the rows' `op`: rows of two targets that
+    named one op would keep only one of them there."""
+    pairs = {(row.op, row.target) for row in TABLE if row.op}
+    assert len(pairs) == len(TAPE_OP_TARGETS)
+    assert not {t for _, t in pairs} & (set(BLOCK_TARGETS)
+                                        | set(NETWORK_TARGETS))
+
+
+def test_a_lung_net_row_runs_through_the_pad_and_crop():
+    """The lung net pads each extent to a multiple of 16 and crops back;
+    one of its rows has extents that need both."""
+    rng = np.random.default_rng(0)
+    extents = [row.consts[0](rng).shape[2:] for row in TABLE
+               if row.name == "lung_net"]
+    assert any(all(n % 16 for n in e) for e in extents), extents
+
+
 def test_check_gradients_dispatch():
     with pytest.raises(ValueError):
         check_gradients("no_such_target")

@@ -1,5 +1,6 @@
 """Network assemblies: geometry contracts, determinism, config validation."""
 
+import hashlib
 from contextlib import nullcontext
 
 import numpy as np
@@ -121,6 +122,28 @@ def test_lung_param_count_independent_of_spatial_size():
     a = _lung(geometry=(1, 7, 12, 10))
     b = _lung(geometry=(1, 23, 48, 48))
     assert count(a) == count(b)
+
+
+@pytest.mark.parametrize("kind,geometry,count,sha", [
+    ("lung", (1, 16, 64, 64), 160,
+     "df364a7d500c2ed04bc23c483c32b1e32f908e10dc3069fe5574d641e70d8928"),
+    ("nodule", (1, 32, 32, 32), 87,
+     "839d2bfa2f195318c330ba413b2e57b0fa58af72ccaf2417be50a278bc92da6f"),
+])
+def test_fresh_network_parameter_bytes_are_pinned(kind, geometry, count, sha):
+    """A fresh net at seed 0 and desk widths: every parameter's name, dtype,
+    shape and bytes in params() order. The layer constructors draw the init
+    from one RNG, so a changed draw order or axis order shows here."""
+    cfg = NetworkConfig(stage_channels=[8, 16, 32, 64],
+                        input_geometry=geometry)
+    h = hashlib.sha256()
+    params = list(build_network(kind, cfg, 0).params())
+    for p in params:
+        h.update(p.name.encode())
+        h.update(str(p.data.dtype).encode())
+        h.update(repr(p.data.shape).encode())
+        h.update(p.data.tobytes())
+    assert (len(params), h.hexdigest()) == (count, sha)
 
 
 def test_lung_param_names_unique():

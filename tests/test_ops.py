@@ -460,8 +460,11 @@ def test_maxpool_backward_routes_to_argmax():
         np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], g)
 
 
+_NOT_TILED = r"^spatial dims \(3, 4, 4\) not divisible by window \(2, 2, 2\)$"
+
+
 def test_maxpool_rejects_indivisible():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_NOT_TILED):
         maxpool3d(np.zeros((1, 1, 3, 4, 4)), (2, 2, 2))
 
 
@@ -717,7 +720,9 @@ def test_fold_unfold_bit_exact_random_pairs():
 
 
 def test_unfold_rejects_indivisible():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_NOT_TILED):
         unfold_windows(np.zeros((1, 1, 3, 4, 4)), (2, 2, 2))
+    with pytest.raises(ValueError, match=_NOT_TILED):
+        fold_windows(np.zeros((1, 4, 8, 1)), (2, 2, 2), (3, 4, 4))
     with pytest.raises(ValueError):
         fold_windows(np.zeros((1, 7, 8, 2)), (2, 2, 2), (4, 4, 4))

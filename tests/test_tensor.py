@@ -1,9 +1,9 @@
-"""Rank-5 volume record and raw/json array persistence."""
+"""Rank-5 volume record, raw/json array persistence and JSON records."""
 
 import numpy as np
 import pytest
 
-from lungseg3d.tensor import Tensor5, load_array, save_array
+from lungseg3d.tensor import Tensor5, load_array, save_array, write_json
 
 
 def test_tensor5_validates_rank_and_dtype():
@@ -50,3 +50,13 @@ def test_load_array_rejects_unknown_dtype(tmp_path):
     with pytest.raises(ValueError, match="unknown dtype 'f16'") as exc:
         load_array(base)
     assert base + ".json" in str(exc.value)
+
+
+@pytest.mark.parametrize("indent,text", [
+    (None, '{"a": [1, 2], "b": "\\u00e9"}\n'),
+    (1, '{\n "a": [\n  1,\n  2\n ],\n "b": "\\u00e9"\n}\n'),
+])
+def test_write_json_is_ascii_with_sorted_keys_and_a_final_newline(
+        tmp_path, indent, text):
+    write_json(tmp_path / "r.json", {"b": "\u00e9", "a": [1, 2]}, indent)
+    assert (tmp_path / "r.json").read_bytes() == text.encode("ascii")
