@@ -280,6 +280,9 @@ def _cmd_heatmap(args) -> int:
     from .autograd import Var, no_grad
     state = load_checkpoint(args.checkpoint)
     sample = data.load_sample(args.sample_dir, args.sample_id)
+    depth = sample.image.shape[2]  # the output's too; checked before the net
+    if not 0 <= args.slice_index < depth:
+        raise ValueError(f"slice index {args.slice_index} outside [0, {depth})")
     with no_grad():
         prob = state.net.forward(Var(sample.image.data), "eval")
     export_heatmap(prob.data, args.slice_index, args.out, color=args.color)

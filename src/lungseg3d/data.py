@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (INTEGER, STRING, Tensor5, load_array, read_json,
-                     save_array, write_json)
+from .tensor import (INTEGER, Tensor5, load_array, read_json, save_array,
+                     write_json)
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),
@@ -356,21 +356,20 @@ def save_sample(sample: Sample, out_dir) -> None:
     base = os.path.join(str(out_dir), sample.id)
     save_array(sample.image.data, base + ".image")
     save_array(sample.mask.data, base + ".mask")
-    meta = {"id": sample.id, "spacing": list(sample.spacing),
-            "origin": list(sample.origin)}
-    write_json(base + ".meta.json", meta)
+    write_json(base + ".meta.json", {"spacing": list(sample.spacing),
+                                     "origin": list(sample.origin)})
 
 
 def load_sample(sample_dir, sample_id: str) -> Sample:
     base = os.path.join(str(sample_dir), sample_id)
     xyz = (lambda v: isinstance(v, list) and len(v) == 3 and all(
         type(c) in (int, float) for c in v), "a list of 3 numbers")
-    meta = read_json(base + ".meta.json", "sample meta", {
-        "id": STRING, "spacing": xyz, "origin": xyz})
+    meta = read_json(base + ".meta.json", "sample meta",
+                     {"spacing": xyz, "origin": xyz})
     image = Tensor5(load_array(base + ".image"))
     mask = Tensor5(load_array(base + ".mask"))
     return Sample(image=image, mask=mask, spacing=tuple(meta["spacing"]),
-                  origin=tuple(meta["origin"]), id=meta["id"])
+                  origin=tuple(meta["origin"]), id=sample_id)
 
 
 def list_sample_ids(sample_dir) -> list:

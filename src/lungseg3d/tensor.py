@@ -45,9 +45,8 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
     le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     with open(base_path + ".raw", "wb") as f:
         f.write(le.tobytes())  # tobytes always emits row-major order
-    sidecar = {"shape": [int(s) for s in arr.shape], "dtype": name}
-    with open(base_path + ".json", "w") as f:
-        json.dump(sidecar, f)
+    write_json(base_path + ".json",
+               {"shape": [int(s) for s in arr.shape], "dtype": name})
 
 
 # (test, expected) value checks for check_keys and read_json
@@ -89,7 +88,7 @@ def read_json(path, what: str, keys) -> dict:
 
 def write_json(path, obj, indent=None) -> None:
     """Write `obj` to file `path` as ASCII JSON with sorted keys and a final
-    newline: the one format of every JSON record but the array sidecar."""
+    newline: the one format of every JSON record."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
 

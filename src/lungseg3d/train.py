@@ -90,9 +90,8 @@ def adam_step(params, grads, state: AdamState) -> None:
 
 @dataclass
 class TrainState:
-    net: object
+    net: object  # its config is the one build_network was given
     kind: str
-    config: NetworkConfig
     adam: AdamState
     epoch: int
     seed: int
@@ -103,29 +102,31 @@ class TrainState:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _named_tensors(net):
-    for var in net.params():
-        yield var.name, var.data, "parameter"
-    for bn in net.batchnorms():
-        yield f"{bn.name}.running_mean", bn.state.running_mean, "running_stat"
-        yield f"{bn.name}.running_var", bn.state.running_var, "running_stat"
+def _named_tensors(state: TrainState):
+    """(name, array) of each tensor a checkpoint holds, in save order; Adam's
+    moments follow the parameters' order, whatever order they were read in."""
+    for var in state.net.params():
+        yield var.name, var.data
+    for bn in state.net.batchnorms():
+        yield f"{bn.name}.running_mean", bn.state.running_mean
+        yield f"{bn.name}.running_var", bn.state.running_var
+    for key in ("m", "v"):
+        moments = getattr(state.adam, key)
+        for var in state.net.params():
+            if var.name in moments:
+                yield f"adam.{key}.{var.name}", moments[var.name]
 
 
 def save_checkpoint(ckpt_dir, state: TrainState) -> None:
-    """Manifest JSON plus one raw/json tensor pair per named buffer."""
+    """Manifest JSON listing the tensor names, plus one raw/json pair each."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    tensors = {}
-    for name, arr, role in _named_tensors(state.net):
+    tensors = []
+    for name, arr in _named_tensors(state):
         save_array(arr, os.path.join(ckpt_dir, name))
-        tensors[name] = {"file": name, "role": role}
-    for key, role in (("m", "adam_moment1"), ("v", "adam_moment2")):
-        for name, buf in getattr(state.adam, key).items():
-            fname = f"adam.{key}.{name}"
-            save_array(buf, os.path.join(ckpt_dir, fname))
-            tensors[fname] = {"file": fname, "role": role}
+        tensors.append(name)
     manifest = {
         "kind": state.kind,
-        "config": asdict(state.config),
+        "config": asdict(state.net.config),
         "adam": {"lr": state.adam.lr, "t": state.adam.t},
         "epoch": state.epoch,
         "seed": state.seed,
@@ -136,12 +137,14 @@ def save_checkpoint(ckpt_dir, state: TrainState) -> None:
 
 
 def load_checkpoint(ckpt_dir) -> TrainState:
-    """Rebuild the network and optimizer state from a checkpoint directory."""
+    """Rebuild the network and optimizer state from a checkpoint directory,
+    reading each tensor the manifest names from `<ckpt_dir>/<name>`."""
     path = os.path.join(ckpt_dir, "manifest.json")
     manifest = read_json(path, "checkpoint manifest", {
         "kind": STRING, "seed": INTEGER, "epoch": INTEGER,
         "best_val_dice": NUMBER, "config": OBJECT, "adam": OBJECT,
-        "tensors": OBJECT})
+        "tensors": (lambda v: isinstance(v, (list, dict)) and all(
+            isinstance(name, str) for name in v), "a list of tensor names")})
     where = f"checkpoint manifest {path}"
     config_keys = {"stage_channels": INTEGERS, "input_geometry": INTEGERS,
                    "attn_window": INTEGERS, "dropout_rate": NUMBER}
@@ -150,22 +153,17 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         "lr": (lambda v: NUMBER[0](v) and _usable_lr(v),
                "a finite number > 0"),
         "t": (lambda v: INTEGER[0](v) and v >= 0, "a non-negative integer")})
-    tensors = {}
-    for name, entry in manifest["tensors"].items():
-        check_keys(entry, f"{where} tensor {name!r}",
-                   {"file": STRING, "role": STRING})
-        tensors[name] = (entry["file"], entry["role"])
+    # a list of names, or an older manifest's {name: {"file", "role"}}
+    tensors = dict.fromkeys(manifest["tensors"])
     config = NetworkConfig(**{key: cfg[key] for key in config_keys})
     adam = AdamState(lr=a["lr"], t=a["t"])
-    kind, seed = manifest["kind"], manifest["seed"]
-    epoch, best_val_dice = manifest["epoch"], manifest["best_val_dice"]
-    net = build_network(kind, config, seed)
+    net = build_network(manifest["kind"], config, manifest["seed"])
 
     def load(name, like):
         """Tensor `name`, checked against the fresh net's array it replaces."""
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name!r}")
-        arr = load_array(os.path.join(ckpt_dir, tensors[name][0]))
+        arr = load_array(os.path.join(ckpt_dir, name))
         if arr.shape != like.shape or arr.dtype != like.dtype:
             raise ValueError(f"checkpoint tensor {name!r} is {arr.dtype} "
                              f"{arr.shape}, expected {like.dtype} {like.shape}")
@@ -178,16 +176,15 @@ def load_checkpoint(ckpt_dir) -> TrainState:
         st = bn.state
         st.running_mean = load(f"{bn.name}.running_mean", st.running_mean)
         st.running_var = load(f"{bn.name}.running_var", st.running_var)
-    for name, (_, role) in tensors.items():
-        moments = {"adam_moment1": adam.m, "adam_moment2": adam.v}.get(role)
-        if moments is not None:
-            pname = name[len("adam.m."):]  # "adam.v." has the same length
+    for name in tensors:
+        if name.startswith(("adam.m.", "adam.v.")):
+            key, pname = name[5], name[7:]  # adam.<m or v>.<parameter>
             if pname not in params:
                 raise ValueError(f"checkpoint Adam moment {name!r} names no "
                                  f"parameter")
-            moments[pname] = load(name, params[pname].data)
-    return TrainState(net=net, kind=kind, config=config, adam=adam,
-                      epoch=epoch, seed=seed, best_val_dice=best_val_dice)
+            getattr(adam, key)[pname] = load(name, params[pname].data)
+    return TrainState(net=net, adam=adam, **{key: manifest[key] for key in (
+        "kind", "epoch", "seed", "best_val_dice")})
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +218,10 @@ def _epoch_order(train_ids, seed: int, epoch: int):
 
 
 def _truncate_log(log_path, last_epoch: int) -> None:
-    """Keep only the log rows of epochs up to last_epoch, the ones a resumed
-    checkpoint has seen; later rows would be written again."""
+    """Start log.csv over with its rows of the epochs up to last_epoch, which
+    a resumed checkpoint has seen: none for a fresh run, at -1."""
     rows = []
-    if os.path.exists(log_path):
+    if last_epoch >= 0 and os.path.exists(log_path):
         with open(log_path, "r", encoding="ascii") as fh:
             rows = [line for line in fh.read().splitlines()[1:]
                     if int(line.split(",", 1)[0]) <= last_epoch]
@@ -284,7 +281,7 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         saved = {"kind": state.kind, "lr": state.adam.lr,
-                 "seed": state.seed, **asdict(state.config)}
+                 "seed": state.seed, **asdict(state.net.config)}
         given = {"kind": kind, "lr": lr, "seed": seed, **asdict(config)}
         differ = [key for key in given if saved[key] != given[key]]
         if differ:
@@ -294,16 +291,12 @@ def train(kind: str, manifest: SplitManifest, sample_dir, out_dir,
                 + ", ".join(f"{k} {given[k]!r}" for k in differ))
     else:
         state = TrainState(net=build_network(kind, config, seed), kind=kind,
-                           config=config, adam=AdamState(lr=lr), epoch=-1,
-                           seed=seed, best_val_dice=-1.0)
+                           adam=AdamState(lr=lr), epoch=-1, seed=seed,
+                           best_val_dice=-1.0)
     # the run directory is made only once the run can start
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "log.csv")
-    if resume_from is not None:
-        _truncate_log(log_path, state.epoch)
-    else:
-        with open(log_path, "w", encoding="ascii") as fh:
-            fh.write(LOG_HEADER + "\n")
+    _truncate_log(log_path, state.epoch)
 
     params = list(state.net.params())
     for epoch in range(state.epoch + 1, epochs):

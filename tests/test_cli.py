@@ -17,7 +17,8 @@ from lungseg3d import gradcheck
 from lungseg3d.cli import build_parser, main
 from lungseg3d.data import (load_manifest, load_mhd, load_sample,
                             make_phantom, save_sample)
-from lungseg3d.networks import NetworkConfig, build_network
+from lungseg3d.networks import (NetworkConfig, WindowAttentionUNet3d,
+                                build_network)
 from lungseg3d.train import AdamState, TrainState, save_checkpoint
 
 MICRO_FLAGS = ["--stage-channels", "2,4,8,16",
@@ -437,8 +438,8 @@ MALFORMED = [("split", ("train",)), ("split", ("val",)), ("split", ("test",)),
              ("checkpoint", ("tensors",)), ("checkpoint", ("adam", "t")),
              ("checkpoint", ("config", "stage_channels")),
              ("sidecar", ("shape",)), ("sidecar", ("dtype",)),
-             ("meta", ("id",)), ("meta", ("spacing",)), ("meta", ("origin",)),
-             ("train-meta", ("id",))]
+             ("meta", ("spacing",)), ("meta", ("origin",)),
+             ("train-meta", ("origin",))]
 # (file, key path, label, the bad value made from the valid one); an empty
 # key path replaces the whole file
 BAD_VALUES = [
@@ -457,7 +458,7 @@ BAD_VALUES = [
     *[("checkpoint", ("adam", "lr"), label, lambda v, lr=lr: lr)
       for label, lr in (("nan", float("nan")), ("inf", float("inf")),
                         ("negative", -1e-4), ("zero", 0))],
-    ("checkpoint", ("tensors", "head.weight"), "int", lambda v: 5),
+    ("checkpoint", ("tensors",), "int-name", lambda v: v[:-1] + [5]),
     ("meta", ("spacing",), "int", lambda v: 1),
     *[(w, (), "list", lambda v: [1])
       for w in ("split", "checkpoint", "sidecar", "meta")],
@@ -479,7 +480,7 @@ def test_malformed_manifest_is_one_line_error(tmp_path, capsys, which, key,
     config = NetworkConfig(stage_channels=[2, 4, 8, 16],
                            input_geometry=(1, 32, 32, 32))
     save_checkpoint(ckpt, TrainState(
-        net=build_network("nodule", config, 0), kind="nodule", config=config,
+        net=build_network("nodule", config, 0), kind="nodule",
         adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
     split_path = tmp_path / "split.json"
     split_path.write_text(json.dumps(split))
@@ -576,3 +577,27 @@ def test_pipeline_train_eval_predict_heatmap(tmp_path, capsys):
                  "--id", man.test[0], "--sample-dir", str(samples),
                  "--slice", "16", "--color", "--out", str(color_path)]) == 0
     assert color_path.read_bytes().startswith(b"P6\n32 32\n255\n")
+
+
+def test_heatmap_slice_out_of_range_stops_before_the_forward(
+        tmp_path, capsys, monkeypatch):
+    """A --slice outside the sample's depth is refused before the net runs,
+    with the one-line error the heatmap writer gives."""
+    save_sample(replace(make_phantom("nodule", 32, 0), id="a"), tmp_path)
+    config = NetworkConfig(stage_channels=[2, 4, 8, 16],
+                           input_geometry=(1, 32, 32, 32))
+    save_checkpoint(tmp_path / "ckpt", TrainState(
+        net=build_network("nodule", config, 0), kind="nodule",
+        adam=AdamState(), epoch=0, seed=0, best_val_dice=0.0))
+
+    def forward(self, *args, **kwargs):
+        raise AssertionError("the forward ran")
+
+    monkeypatch.setattr(WindowAttentionUNet3d, "forward", forward)
+    for bad in ("32", "-1"):
+        assert main(["heatmap", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--id", "a", "--sample-dir", str(tmp_path),
+                     "--slice", bad, "--out", str(tmp_path / "h.pgm")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: slice index {bad} outside [0, 32)\n"
+    assert not (tmp_path / "h.pgm").exists()

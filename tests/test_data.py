@@ -1,6 +1,8 @@
 """Data pipeline: MetaImage IO, preprocessing, phantoms, splits, storage."""
 
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,6 +386,17 @@ def test_sample_validation():
     small = Tensor5(np.zeros((1, 1, 2, 2, 1), dtype=np.float32))
     with pytest.raises(ValueError):
         Sample(image=img, mask=small)
+
+
+def test_sample_id_is_its_file_name(tmp_path):
+    """A sample's .meta.json holds no id, and load_sample returns the id it
+    was asked for, also from an older meta whose id differs."""
+    save_sample(replace(make_phantom("nodule", 24, 7), id="a"), tmp_path)
+    path = tmp_path / "a.meta.json"
+    meta = json.loads(path.read_text())
+    assert sorted(meta) == ["origin", "spacing"]
+    path.write_text(json.dumps({**meta, "id": "other"}))
+    assert load_sample(tmp_path, "a").id == "a"
 
 
 def test_sample_save_load_round_trip(tmp_path):

@@ -60,3 +60,9 @@ def test_write_json_is_ascii_with_sorted_keys_and_a_final_newline(
         tmp_path, indent, text):
     write_json(tmp_path / "r.json", {"b": "\u00e9", "a": [1, 2]}, indent)
     assert (tmp_path / "r.json").read_bytes() == text.encode("ascii")
+
+
+def test_sidecar_is_written_by_write_json(tmp_path):
+    save_array(np.zeros((2, 3), dtype=np.float32), str(tmp_path / "buf"))
+    assert (tmp_path / "buf.json").read_bytes() == \
+        b'{"dtype": "f32", "shape": [2, 3]}\n'

@@ -19,7 +19,7 @@ from lungseg3d.networks import NetworkConfig, build_network
 from lungseg3d.train import (LOG_HEADER, AdamState, NonFiniteError,
                              TrainState, adam_step, evaluate, load_checkpoint,
                              save_checkpoint, train, train_step, _ADAM_CHUNK,
-                             _epoch_order)
+                             _epoch_order, _named_tensors)
 from lungseg3d.tensor import load_array, save_array
 
 MICRO = [2, 4, 8, 16]
@@ -158,8 +158,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     sample = make_phantom("nodule", (32, 32, 32), 0)
     train_step(net, params, sample, adam, np.random.default_rng(0))
 
-    state = TrainState(net=net, kind="nodule", config=cfg, adam=adam,
-                       epoch=4, seed=3, best_val_dice=0.25)
+    state = TrainState(net=net, kind="nodule", adam=adam, epoch=4, seed=3,
+                       best_val_dice=0.25)
     ck = tmp_path / "ck"
     save_checkpoint(ck, state)
     back = load_checkpoint(ck)
@@ -184,13 +184,13 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_missing_tensor_rejected(tmp_path):
     cfg = _nodule_config()
     net = build_network("nodule", cfg, seed=0)
-    state = TrainState(net=net, kind="nodule", config=cfg, adam=AdamState(),
-                       epoch=0, seed=0, best_val_dice=0.0)
+    state = TrainState(net=net, kind="nodule", adam=AdamState(), epoch=0,
+                       seed=0, best_val_dice=0.0)
     ck = tmp_path / "ck"
     save_checkpoint(ck, state)
     manifest = json.loads((ck / "manifest.json").read_text())
     first = next(iter(net.params())).name
-    del manifest["tensors"][first]
+    manifest["tensors"].remove(first)
     (ck / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_checkpoint(ck)
@@ -216,16 +216,102 @@ def test_checkpoint_mismatched_tensor_rejected(tmp_path, name, arr):
         adam.m[var.name] = np.zeros_like(var.data)
         adam.v[var.name] = np.zeros_like(var.data)
     ck = tmp_path / "ck"
-    save_checkpoint(ck, TrainState(net=net, kind="nodule", config=cfg,
-                                   adam=adam, epoch=0, seed=0,
-                                   best_val_dice=0.0))
+    save_checkpoint(ck, TrainState(net=net, kind="nodule", adam=adam,
+                                   epoch=0, seed=0, best_val_dice=0.0))
     manifest = json.loads((ck / "manifest.json").read_text())
-    role = "adam_moment1" if name.startswith("adam.m.") else "running_stat"
-    manifest["tensors"].setdefault(name, {"file": name, "role": role})
+    if name not in manifest["tensors"]:
+        manifest["tensors"].append(name)
     (ck / "manifest.json").write_text(json.dumps(manifest))
     save_array(arr, str(ck / name))
     with pytest.raises(ValueError, match=repr(name)):
         load_checkpoint(ck)
+
+
+def _parent_format(names):
+    """The {name: {"file", "role"}} object that a checkpoint manifest held
+    in place of its list of tensor names, as the older writer wrote it."""
+    def role(name):
+        if name.startswith("adam."):
+            return f"adam_moment{1 if name[5] == 'm' else 2}"
+        return "running_stat" if ".running_" in name else "parameter"
+    return {name: {"file": name, "role": role(name)} for name in names}
+
+
+def test_checkpoint_holds_the_manifest_and_one_pair_per_listed_name(
+        tmp_path):
+    """The manifest lists each tensor name once, in save order (parameters,
+    running stats, Adam's m, then v), and the directory holds it and one
+    .raw/.json pair per name, nothing else."""
+    net = build_network("nodule", _nodule_config(), seed=0)
+    adam = AdamState()
+    train_step(net, list(net.params()), make_phantom("nodule", 32, 0), adam,
+               np.random.default_rng(0))
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, TrainState(net=net, kind="nodule", adam=adam,
+                                   epoch=0, seed=0, best_val_dice=0.0))
+    names = json.loads((ck / "manifest.json").read_text())["tensors"]
+    params = [var.name for var in net.params()]
+    stats = [f"{bn.name}.running_{s}" for bn in net.batchnorms()
+             for s in ("mean", "var")]
+    assert names == (params + stats + [f"adam.m.{n}" for n in params]
+                     + [f"adam.v.{n}" for n in params])
+    assert sorted(os.listdir(ck)) == sorted(
+        ["manifest.json"] + [n + ext for n in names for ext in (".raw",
+                                                                 ".json")])
+
+
+@pytest.mark.parametrize("where", ["absolute", "relative"])
+def test_older_manifest_cannot_load_a_file_outside_its_checkpoint(tmp_path,
+                                                                  where):
+    """The older manifest named each tensor's file; that name is ignored, so
+    an edited one cannot load an array planted elsewhere on the disk."""
+    net = build_network("nodule", _nodule_config(), seed=0)
+    ck, elsewhere = tmp_path / "run" / "ck", tmp_path / "run" / "elsewhere"
+    save_checkpoint(ck, TrainState(net=net, kind="nodule", adam=AdamState(),
+                                   epoch=0, seed=0, best_val_dice=0.0))
+    want = {var.name: var.data for var in net.params()}["head.bias"]
+    elsewhere.mkdir()
+    save_array(np.full_like(want, 42.0), str(elsewhere / "planted"))
+    path = ck / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["tensors"] = _parent_format(manifest["tensors"])
+    manifest["tensors"]["head.bias"]["file"] = (
+        str(elsewhere / "planted") if where == "absolute"
+        else "../elsewhere/planted")
+    path.write_text(json.dumps(manifest))
+    back = load_checkpoint(ck)
+    got = {var.name: var.data for var in back.net.params()}["head.bias"]
+    assert got.tobytes() == want.tobytes() and 42.0 not in got
+
+
+def test_parent_format_manifest_loads_bit_exact_and_resumes_the_same(
+        tmp_path):
+    """A manifest whose tensors are the older {name: {"file", "role"}}
+    object loads the arrays the name list loads, and resumes to the bytes
+    that the name list resumes to."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
+    man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
+    new, old = tmp_path / "new", tmp_path / "old"
+    train("nodule", man, d, new, _nodule_config(), epochs=1, seed=0)
+    shutil.copytree(new, old)
+    path = old / "last" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["tensors"] = _parent_format(manifest["tensors"])
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    states = [load_checkpoint(run / "last") for run in (new, old)]
+    a, b = ([(name, arr.dtype, arr.shape, arr.tobytes())
+             for name, arr in _named_tensors(state)] for state in states)
+    assert len(a) == len(manifest["tensors"]) and a == b
+    a, b = ((s.kind, s.epoch, s.seed, s.best_val_dice, s.adam.lr, s.adam.t)
+            for s in states)
+    assert a == b
+    for run in (new, old):
+        train("nodule", man, d, run, _nodule_config(), epochs=2, seed=0,
+              resume_from=run / "last")
+    files_new, files_old = _dir_bytes(new), _dir_bytes(old)
+    assert files_new.keys() == files_old.keys()
+    for name in files_new:
+        assert files_new[name] == files_old[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +475,38 @@ def test_checkpoint_with_the_retired_keys_loads_and_resumes(tmp_path):
     assert files_new.keys() == files_old.keys()
     for name in files_new:
         assert files_new[name] == files_old[name], name
+
+
+@pytest.mark.parametrize("stop", [1, 2])
+def test_resumed_run_reproduces_the_uninterrupted_run(tmp_path, stop):
+    """Training `stop` epochs and then resuming from last/ to 3 epochs
+    writes the bytes of an uninterrupted 3-epoch run: log.csv, best/ and
+    last/, each checkpoint's tensors listed and saved in the same order."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1, 2))
+    man = SplitManifest(train=ids[:2], val=[ids[2]], test=[], seed=0)
+    whole, parts = tmp_path / "whole", tmp_path / "parts"
+    train("nodule", man, d, whole, _nodule_config(), epochs=3, seed=0)
+    train("nodule", man, d, parts, _nodule_config(), epochs=stop, seed=0)
+    train("nodule", man, d, parts, _nodule_config(), epochs=3, seed=0,
+          resume_from=parts / "last")
+    files_whole, files_parts = _dir_bytes(whole), _dir_bytes(parts)
+    assert files_whole.keys() == files_parts.keys()
+    for name in files_whole:
+        assert files_whole[name] == files_parts[name], name
+
+
+def test_fresh_run_overwrites_whatever_log_it_finds(tmp_path):
+    """A fresh run starts log.csv over without reading the log already
+    there, even one that is not a log."""
+    d, ids = _phantom_dir(tmp_path, seeds=(0, 1))
+    man = SplitManifest(train=ids[:1], val=ids[1:], test=[], seed=0)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "log.csv").write_text("not a log\nx,y\n3,1.0,0.5,0.5\n")
+    train("nodule", man, d, out, _nodule_config(), epochs=1, seed=0)
+    log = (out / "log.csv").read_text().splitlines()
+    assert log[0] == LOG_HEADER and [row.split(",")[0] for row in log[1:]] \
+        == ["0"]
 
 
 def test_train_missing_sample_raises(tmp_path):
