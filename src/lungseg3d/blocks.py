@@ -19,6 +19,7 @@ residual scale.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ from .autograd import Var
 from .ops import BatchNormState, ConvSpec
 
 
-class capture:
+@contextlib.contextmanager
+def capture(*names):
     """`with capture("gate1.mask", "enc2") as got:` fills the dict `got`
     with a copy of the last array recorded under each requested name (a
     later in-place op of a no_grad forward overwrites the array itself).
@@ -36,32 +38,24 @@ class capture:
     attention gates their mask as `<gate>.mask`, window attention its
     (B, N, T, T) weights as `<attn>.weights`. A requested name left
     unrecorded raises KeyError."""
-
-    def __init__(self, *names):
-        self.names = frozenset(names)
-        self.got = {}
-
-    def __enter__(self):
-        global _capture
-        self._prev = _capture
-        _capture = self
-        return self.got
-
-    def __exit__(self, exc_type, *exc):
-        global _capture
-        _capture = self._prev
-        missing = self.names - self.got.keys()
-        if exc_type is None and missing:
-            raise KeyError(f"capture: nothing recorded {sorted(missing)}")
-        return False
+    global _capture
+    prev, _capture = _capture, (frozenset(names), {})
+    wanted, got = _capture
+    try:
+        yield got
+    finally:
+        _capture = prev
+    missing = wanted - got.keys()
+    if missing:
+        raise KeyError(f"capture: nothing recorded {sorted(missing)}")
 
 
-_capture = None  # the innermost active capture
+_capture = None  # the innermost active capture's (names, recorded dict)
 
 
 def _record(name: str, v: Var) -> Var:
-    if _capture is not None and name in _capture.names:
-        _capture.got[name] = v.data.copy()
+    if _capture is not None and name in _capture[0]:
+        _capture[1][name] = v.data.copy()
     return v
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (INTEGER, Tensor5, load_array, read_json, save_array,
-                     write_json)
+from .tensor import (INTEGER, Tensor5, load_array, read_json, read_raw,
+                     save_array, write_json)
 
 MET_TYPES = {
     "MET_SHORT": np.dtype("<i2"),
@@ -140,13 +140,7 @@ def load_mhd(header_path):
 
     raw_path = os.path.join(os.path.dirname(header_path),
                             fields["ElementDataFile"])
-    dt = MET_TYPES[etype]
-    expected = w * h * d * dt.itemsize
-    size = os.path.getsize(raw_path)
-    if size != expected:
-        raise ValueError(f"raw file holds {size} bytes, header implies {expected}")
-    buf = np.fromfile(raw_path, dtype=dt)
-    vol = buf.reshape(d, h, w).astype(np.float32)
+    vol = read_raw(raw_path, MET_TYPES[etype], (d, h, w)).astype(np.float32)
     meta = MhdMeta(spacing=spacing, origin=origin, element_type=etype)
     return Tensor5(vol[None, None]), meta
 
@@ -351,9 +345,17 @@ def make_phantom(kind: str, dims, seed: int) -> Sample:
 # Sample storage
 # ---------------------------------------------------------------------------
 
+def _sample_base(sample_dir, sample_id: str) -> str:
+    """The path of sample `sample_id`'s files in `sample_dir`, less their
+    suffix; an id that could name a path outside it is refused."""
+    if sample_id in ("", ".", "..") or os.path.dirname(sample_id):
+        raise ValueError(f"sample id {sample_id!r} is not a file name")
+    return os.path.join(str(sample_dir), sample_id)
+
+
 def save_sample(sample: Sample, out_dir) -> None:
+    base = _sample_base(out_dir, sample.id)
     os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(str(out_dir), sample.id)
     save_array(sample.image.data, base + ".image")
     save_array(sample.mask.data, base + ".mask")
     write_json(base + ".meta.json", {"spacing": list(sample.spacing),
@@ -361,7 +363,7 @@ def save_sample(sample: Sample, out_dir) -> None:
 
 
 def load_sample(sample_dir, sample_id: str) -> Sample:
-    base = os.path.join(str(sample_dir), sample_id)
+    base = _sample_base(sample_dir, sample_id)
     xyz = (lambda v: isinstance(v, list) and len(v) == 3 and all(
         type(c) in (int, float) for c in v), "a list of 3 numbers")
     meta = read_json(base + ".meta.json", "sample meta",

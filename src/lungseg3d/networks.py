@@ -128,12 +128,10 @@ class GatedResidualUNet3d(Module):
             raise ValueError(f"input has {x.data.shape[1]} channels, "
                              f"network expects {c_in}")
         spatial = x.data.shape[2:]
-        pads = _pad_plan(spatial, DOWN_FACTOR)
-        padded = any(lo + hi for lo, hi in pads)
         # Only this list and the call in progress hold a tap or a decoder
         # array: each goes once it is used, so a no_grad forward frees it
         # before the next block runs. Taps run padded input, e1, e2, e3.
-        taps = [ag.pad(x, pads) if padded else x]
+        taps = [ag.pad(x, _pad_plan(spatial, DOWN_FACTOR))]
         for enc in (self.enc1, self.enc2, self.enc3):
             taps.append(enc.forward(taps[-1], mode))
         state = self.bottleneck.forward(self.enc4.forward(taps[-1], mode),
@@ -146,10 +144,8 @@ class GatedResidualUNet3d(Module):
             state = dec.forward(state, mode)
 
         h = self.head(state)
-        del state
-        if padded:
-            h = ag.center_crop(h, spatial)
-        h = self.post2(self.post1(h))
+        del state  # freed before the crop makes its copy
+        h = self.post2(self.post1(ag.center_crop(h, spatial)))
         return ag.sigmoid(h)
 
 

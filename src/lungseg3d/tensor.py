@@ -7,6 +7,8 @@ width index fastest. Everything below them works on plain ndarrays.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -42,9 +44,8 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
     name = _DTYPE_NAMES.get(arr.dtype)
     if name is None:
         raise ValueError(f"unsupported dtype {arr.dtype}")
-    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    with open(base_path + ".raw", "wb") as f:
-        f.write(le.tobytes())  # tobytes always emits row-major order
+    arr.astype(arr.dtype.newbyteorder("<"), copy=False).tofile(
+        base_path + ".raw")  # tofile always writes row-major order
     write_json(base_path + ".json",
                {"shape": [int(s) for s in arr.shape], "dtype": name})
 
@@ -104,12 +105,16 @@ def load_array(base_path: str) -> np.ndarray:
     shape, name = tuple(sidecar["shape"]), sidecar["dtype"]
     if name not in DTYPES:
         raise ValueError(f"array sidecar {path} has unknown dtype {name!r}")
-    np_dtype = DTYPES[name]
-    raw = np.fromfile(base_path + ".raw", dtype=np.dtype(np_dtype).newbyteorder("<"))
-    expected = int(np.prod(shape)) if shape else 1
-    if raw.size != expected:
-        raise ValueError(
-            f"{base_path}.raw holds {raw.size} elements, sidecar shape {shape} "
-            f"needs {expected}"
-        )
-    return raw.astype(np_dtype).reshape(shape)
+    dtype = np.dtype(DTYPES[name])  # returned as a native-order copy
+    return read_raw(base_path + ".raw", dtype.newbyteorder("<"),
+                    shape).astype(dtype)
+
+
+def read_raw(path, dtype, shape) -> np.ndarray:
+    """The `shape` array of `dtype` elements stored row-major in file `path`,
+    which is refused unless it holds exactly that many bytes."""
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ValueError(f"{path} holds {size} bytes, expected {expected}")
+    return np.fromfile(path, dtype=dtype).reshape(shape)

@@ -24,7 +24,6 @@ from .tensor import (INTEGER, INTEGERS, NUMBER, OBJECT, STRING, check_keys,
                      load_array, read_json, save_array, write_json)
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
-_ADAM_CHUNK = 16384  # elements per cache-resident chunk of an Adam update
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -51,9 +50,7 @@ def adam_step(params, grads, state: AdamState) -> None:
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for var, g in zip(params, grads):
-        if g is None:
-            g = np.zeros_like(var.data)
-        g = np.asarray(g)
+        g = np.zeros_like(var.data) if g is None else np.asarray(g)
         if g.shape != var.data.shape:
             raise ValueError(f"grad shape {g.shape} != param shape "
                              f"{var.data.shape} for {var.name!r}")
@@ -62,30 +59,11 @@ def adam_step(params, grads, state: AdamState) -> None:
             m = state.m[var.name] = np.zeros_like(var.data)
             state.v[var.name] = np.zeros_like(var.data)
         v = state.v[var.name]
-        if not var.data.flags.c_contiguous:
-            raise ValueError(f"parameter {var.name!r} is not contiguous")
-        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in place, in two work
-        # buffers, over chunks of the flattened arrays that stay in cache
-        # across the 13 passes; the operations and their order are those of
-        # the expressions, so for a gradient of the parameter's dtype the
-        # bytes are too
-        flat = [a.reshape(-1) for a in (var.data, g, m, v)]
-        t, u = np.empty((2, min(m.size, _ADAM_CHUNK)), dtype=m.dtype)
-        for a in range(0, m.size, _ADAM_CHUNK):
-            pc, gc, mc, vc = (f[a:a + _ADAM_CHUNK] for f in flat)
-            tc, uc = t[:pc.size], u[:pc.size]
-            mc *= ADAM_BETA1
-            mc += np.multiply(1.0 - ADAM_BETA1, gc, out=tc)
-            vc *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, gc, out=tc)
-            vc += np.multiply(tc, gc, out=tc)
-            np.divide(mc, bc1, out=uc)
-            uc *= state.lr
-            np.divide(vc, bc2, out=tc)
-            np.sqrt(tc, out=tc)
-            tc += ADAM_EPS
-            pc -= np.divide(uc, tc, out=uc)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        var.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -223,8 +201,12 @@ def _truncate_log(log_path, last_epoch: int) -> None:
     rows = []
     if last_epoch >= 0 and os.path.exists(log_path):
         with open(log_path, "r", encoding="ascii") as fh:
-            rows = [line for line in fh.read().splitlines()[1:]
-                    if int(line.split(",", 1)[0]) <= last_epoch]
+            for line in fh.read().splitlines()[1:]:
+                epoch = line.split(",", 1)[0]
+                if not epoch.isdigit():  # refused before log.csv is rewritten
+                    raise ValueError(f"malformed row {line!r} in {log_path}")
+                if int(epoch) <= last_epoch:
+                    rows.append(line)
     with open(log_path, "w", encoding="ascii") as fh:
         fh.write("".join(line + "\n" for line in [LOG_HEADER] + rows))
 

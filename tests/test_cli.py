@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -300,6 +301,43 @@ def test_resume_with_another_lr_is_refused_untouched(tiny_run, capsys):
         f"error: checkpoint {run / 'last'} was trained with lr 0.0001, "
         f"not lr 0.05\n")
     assert [f.read_bytes() for f in files] == before
+
+
+def test_eval_refuses_a_sample_id_outside_the_sample_dir(tiny_run, tmp_path,
+                                                         capsys):
+    """A split whose id climbs out of --sample-dir is refused with one error
+    line, although a sample lies where the id points."""
+    run, _ = tiny_run
+    save_sample(make_phantom("nodule", 32, 7), tmp_path / "outside")
+    (tmp_path / "samples").mkdir()
+    man = tmp_path / "split.json"
+    man.write_text(json.dumps({"train": [], "val": [], "seed": 0,
+                               "test": ["../outside/nodule-0007"]}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "last"), "--manifest",
+                 str(man), "--split", "test", "--sample-dir",
+                 str(tmp_path / "samples")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sample id '../outside/nodule-0007' is not a file name\n")
+
+
+def test_resume_over_a_malformed_log_row_is_refused_untouched(
+        tiny_split, tiny_run, tmp_path, capsys):
+    """A log.csv row whose epoch is not an integer stops a resume with one
+    error line naming the row and log.csv, which is left as it was."""
+    samples, man = tiny_split
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run[0], run)
+    log = run / "log.csv"
+    log.write_text(log.read_text() + "garbage row\n")
+    before = log.read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(man), "--sample-dir",
+                 str(samples), "--out", str(run), "--epochs", "2",
+                 *MICRO_FLAGS, "--resume", str(run / "last")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed row 'garbage row' in {log}\n")
+    assert log.read_bytes() == before
 
 
 def test_eval_threshold_out_of_range_on_an_empty_split(tiny_run, tiny_split,

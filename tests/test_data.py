@@ -1,6 +1,7 @@
 """Data pipeline: MetaImage IO, preprocessing, phantoms, splits, storage."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -408,6 +409,19 @@ def test_sample_save_load_round_trip(tmp_path):
     assert np.array_equal(back.image.data, s.image.data)
     assert np.array_equal(back.mask.data, s.mask.data)
     assert back.spacing == s.spacing and back.origin == s.origin
+
+
+@pytest.mark.parametrize("sid", ["", ".", "..", "../outside/a", "a/b", "a/"])
+def test_a_sample_id_that_is_not_a_file_name_is_refused(tmp_path, sid):
+    """save_sample and load_sample refuse an id that could name a path
+    outside the sample directory, naming the id, before touching a file."""
+    out = tmp_path / "samples"
+    message = re.escape(f"sample id {sid!r} is not a file name")
+    with pytest.raises(ValueError, match=message):
+        save_sample(replace(make_phantom("nodule", 24, 7), id=sid), out)
+    with pytest.raises(ValueError, match=message):
+        load_sample(out, sid)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,19 @@ def test_sidecar_is_written_by_write_json(tmp_path):
     save_array(np.zeros((2, 3), dtype=np.float32), str(tmp_path / "buf"))
     assert (tmp_path / "buf.json").read_bytes() == \
         b'{"dtype": "f32", "shape": [2, 3]}\n'
+
+
+def test_raw_of_another_size_is_refused_before_it_is_read(tmp_path,
+                                                         monkeypatch):
+    """A sidecar that implies fewer bytes than its .raw holds is refused on
+    the file's size: the buffer is never read."""
+    base = str(tmp_path / "buf")
+    save_array(np.zeros((2, 2)), base)
+    write_json(base + ".json", {"shape": [2], "dtype": "f64"})
+
+    def no_read(*args, **kwargs):
+        pytest.fail("np.fromfile read a raw file of the wrong size")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(ValueError, match="holds 32 bytes, expected 16"):
+        load_array(base)
