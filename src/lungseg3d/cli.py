@@ -10,8 +10,8 @@ take are ignored. The parsed arguments, with `train`'s net-default widths,
 geometry and window filled in, are echoed as one JSON line before any work
 starts.
 
-Exit codes: 0 success, 1 validation or usage error, a non-finite training
-step or gradcheck probe, or a failed gradient check, 2 I/O error.
+Exit codes: 0 success; 1 a validation or usage error, a non-finite training
+step or gradcheck probe, or a failed gradient check; 2 I/O or out of memory.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from . import data, gradcheck
 from .losses import export_heatmap
 from .networks import (NetworkConfig, lung_default_config,
                        nodule_default_config, predict_volume)
-from .tensor import INTEGER, INTEGERS, NUMBER, STRING, read_json, write_json
+from .tensor import INTEGER, INTEGERS, STRING, read_json, write_json
 from .train import NonFiniteError, evaluate, load_checkpoint, train
 
 
@@ -45,8 +45,9 @@ def _int_list(text: str) -> list:
 
 NETS = ("lung", "nodule")
 # a flag's type -> (test of a JSON config value, what the error asks for);
-# a JSON true or false is never a number here
-_JSON_TYPES = {None: STRING, int: INTEGER, float: NUMBER, _int_list: INTEGERS}
+# true or false is never a number; NaN is a float, as on the command line
+_JSON_TYPES = {None: STRING, int: INTEGER, _int_list: INTEGERS, float: (
+    lambda v: isinstance(v, float) or INTEGER[0](v), "a number")}
 # command -> the settings it cannot run without
 _NEEDS = {"train": ("manifest",), "eval": ("checkpoint", "manifest"),
           "predict": ("checkpoint",), "heatmap": ("checkpoint",)}
@@ -312,8 +313,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, NonFiniteError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

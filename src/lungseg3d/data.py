@@ -73,17 +73,25 @@ def _is_identity(matrix: str) -> bool:
         return False
 
 
+def _xyz_fault(vals, positive: bool):
+    """What `vals` must be as a volume's spacing (positive) or origin, the
+    rule of MetaImage headers and sample metas; None if they are that."""
+    if not isinstance(vals, (list, tuple)) or len(vals) != 3 or any(
+            type(v) not in (int, float) for v in vals):
+        return "3 numbers"
+    if not all((0 if positive else -np.inf) < v < np.inf for v in vals):
+        return "finite and > 0" if positive else "finite"
+    return None
+
+
 def _three_numbers(fields: dict, key: str, default: str,
                    positive: bool = False) -> tuple:
     try:
         vals = tuple(float(v) for v in fields.get(key, default).split())
     except ValueError:
         vals = ()
-    if len(vals) != 3:
-        raise ValueError(f"{key} = {fields[key]} must be 3 numbers")
-    if not np.isfinite(vals).all() or (positive and min(vals) <= 0):
-        rule = "finite and > 0" if positive else "finite"
-        raise ValueError(f"{key} = {fields[key]} must be {rule}")
+    if fault := _xyz_fault(vals, positive):
+        raise ValueError(f"{key} = {fields[key]} must be {fault}")
     return vals
 
 
@@ -154,11 +162,7 @@ def write_mhd(header_path, arr: np.ndarray, spacing=(1.0, 1.0, 1.0),
         raise ValueError(f"expected shape (1,1,D,H,W), got {arr.shape}")
     d, h, w = arr.shape[2:]
     header_path = str(header_path)
-    base = os.path.basename(header_path)
-    if base.endswith(".mhd"):
-        raw_name = base[:-4] + ".raw"
-    else:
-        raw_name = base + ".raw"
+    raw_name = os.path.basename(header_path).removesuffix(".mhd") + ".raw"
     raw_path = os.path.join(os.path.dirname(header_path), raw_name)
 
     arr[0, 0].astype(MET_TYPES[element_type]).tofile(raw_path)
@@ -364,10 +368,9 @@ def save_sample(sample: Sample, out_dir) -> None:
 
 def load_sample(sample_dir, sample_id: str) -> Sample:
     base = _sample_base(sample_dir, sample_id)
-    xyz = (lambda v: isinstance(v, list) and len(v) == 3 and all(
-        type(c) in (int, float) for c in v), "a list of 3 numbers")
-    meta = read_json(base + ".meta.json", "sample meta",
-                     {"spacing": xyz, "origin": xyz})
+    meta = read_json(base + ".meta.json", "sample meta", {
+        "spacing": (lambda v: not _xyz_fault(v, True), "3 finite numbers > 0"),
+        "origin": (lambda v: not _xyz_fault(v, False), "3 finite numbers")})
     image = Tensor5(load_array(base + ".image"))
     mask = Tensor5(load_array(base + ".mask"))
     return Sample(image=image, mask=mask, spacing=tuple(meta["spacing"]),
@@ -406,8 +409,7 @@ def split_dataset(ids, seed: int) -> SplitManifest:
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
     n = len(ids)
-    n_val = int(n * 0.2)
-    n_test = int(n * 0.2)
+    n_val = n_test = int(n * 0.2)
     n_train = n - n_val - n_test
     return SplitManifest(train=shuffled[:n_train],
                          val=shuffled[n_train: n_train + n_val],

@@ -48,15 +48,13 @@ class NetworkConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        self.stage_channels = [int(c) for c in self.stage_channels]
-        if len(self.stage_channels) != 4 or min(self.stage_channels) < 1:
-            raise ValueError("stage_channels must be 4 positive ints")
-        self.input_geometry = tuple(int(v) for v in self.input_geometry)
-        if len(self.input_geometry) != 4:
-            raise ValueError("input_geometry must be (C, D, H, W)")
-        self.attn_window = tuple(int(w) for w in self.attn_window)
-        if len(self.attn_window) != 3 or min(self.attn_window) < 1:
-            raise ValueError("attn_window must be 3 positive ints")
+        for name, n in (("stage_channels", 4), ("input_geometry", 4),
+                        ("attn_window", 3)):
+            kind = list if name == "stage_channels" else tuple
+            vals = kind(int(v) for v in getattr(self, name))
+            if len(vals) != n or min(vals) < 1:
+                raise ValueError(f"{name} must be {n} positive ints")
+            setattr(self, name, vals)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 

@@ -91,7 +91,7 @@ def _window_grid(spatial, window):
 # Specs and parameter containers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ConvSpec:
     """Geometry of one convolution layer.
 
@@ -107,10 +107,8 @@ class ConvSpec:
     padding: tuple = (0, 0, 0)
 
     def __post_init__(self):
-        self.kernel = _triple(self.kernel)
-        self.stride = _triple(self.stride)
-        self.dilation = _triple(self.dilation)
-        self.padding = _triple(self.padding)
+        for name in ("kernel", "stride", "dilation", "padding"):
+            object.__setattr__(self, name, _triple(getattr(self, name)))
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be positive")
         if min(self.kernel) < 1 or min(self.stride) < 1 or min(self.dilation) < 1:
@@ -177,20 +175,15 @@ class _TapPlan(NamedTuple):
     reads: tuple  # per read phase: (phase, its taps, span a, e, gy offsets)
 
 
-def _tap_plan(spec: ConvSpec, spatial) -> _TapPlan:
-    """Where every kernel tap of a conv over `spatial` input voxels reads."""
-    return _cached_tap_plan(spec.kernel, spec.stride, spec.dilation,
-                            spec.padding, tuple(spatial))
-
-
 @functools.lru_cache(maxsize=256)
-def _cached_tap_plan(kernel, stride, dilation, padding, spatial) -> _TapPlan:
-    out = ConvSpec(1, 1, kernel, stride, dilation, padding).out_dims(spatial)
+def _tap_plan(spec: ConvSpec, spatial: tuple) -> _TapPlan:
+    """Where every kernel tap of a conv over `spatial` input voxels reads."""
+    out, stride, padding = spec.out_dims(spatial), spec.stride, spec.padding
     M = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(spatial, padding, stride))
     pitch = (M[1] * M[2], M[2], 1)
     taps = []
-    for k in np.ndindex(*kernel):
-        q, r = np.divmod(np.multiply(k, dilation), stride)
+    for k in np.ndindex(*spec.kernel):
+        q, r = np.divmod(np.multiply(k, spec.dilation), stride)
         taps.append((tuple(int(i) for i in r), int(np.dot(q, pitch))))
     lead, reads = max(off for _, off in taps), []
     for r in dict.fromkeys(r for r, _ in taps):
@@ -274,11 +267,7 @@ def _shift_gemm(views, wk, out) -> None:
     wt = np.ascontiguousarray(np.moveaxis(wk, 2, 0))
     g = _tap_group(C, O)
     nb = min(n, _block_cols(B * O, B * g * C, out.itemsize))
-    # The scratch is one (B, O, nb) block carved from a (B, O, n) buffer whose
-    # untouched rest never becomes resident. With block-sized scratch, glibc
-    # stopped trimming its heap (below its 32 MB mmap ceiling) before the
-    # full-resolution decoder, and the lung-eval peak RSS rose by 45-60 MB.
-    tmp = np.empty(B * O * n, dtype=out.dtype)[:B * O * nb].reshape(B, O, nb)
+    tmp = np.empty((B, O, nb), dtype=out.dtype)
     # Taps go in groups of g, in order: one (O, g*C) weight block per group
     # and, per column block, one (B, g*C, nb) operand copied from the group's
     # views (the block rule counts its rows as input rows). A one-tap group

@@ -50,12 +50,18 @@ def save_array(arr: np.ndarray, base_path: str) -> None:
                {"shape": [int(s) for s in arr.shape], "dtype": name})
 
 
+class _NonFinite(float):
+    """NaN or Infinity as read_json reads them: no type-exact test passes."""
+
+
 # (test, expected) value checks for check_keys and read_json
 STRING = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: type(v) is int, "an integer")
 NUMBER = (lambda v: type(v) in (int, float), "a number")
 INTEGERS = (lambda v: isinstance(v, list) and all(type(i) is int for i in v),
             "a list of integers")
+SIZES = (lambda v: INTEGERS[0](v) and all(i >= 0 for i in v),
+         "a list of non-negative integers")
 OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 
 
@@ -78,10 +84,10 @@ def check_keys(obj, what: str, keys) -> dict:
 
 def read_json(path, what: str, keys) -> dict:
     """The JSON object in file `path`, described as `what` in errors and
-    checked against `keys` by check_keys."""
+    checked against `keys` by check_keys, which no NaN or Infinity passes."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_NonFinite)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
     return check_keys(obj, f"{what} {path}", keys)
@@ -89,25 +95,23 @@ def read_json(path, what: str, keys) -> dict:
 
 def write_json(path, obj, indent=None) -> None:
     """Write `obj` to file `path` as ASCII JSON with sorted keys and a final
-    newline: the one format of every JSON record."""
+    newline: the one format of every JSON record, so never NaN or Infinity."""
+    text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+        fh.write(text + "\n")
 
 
 def load_array(base_path: str) -> np.ndarray:
     """Read an array written by save_array."""
     path = base_path + ".json"
-    is_shape = lambda v: isinstance(v, list) and all(
-        type(s) is int and s >= 0 for s in v)
-    sidecar = read_json(path, "array sidecar", {
-        "shape": (is_shape, "a list of non-negative ints"),
-        "dtype": STRING})
+    sidecar = read_json(path, "array sidecar",
+                        {"shape": SIZES, "dtype": STRING})
     shape, name = tuple(sidecar["shape"]), sidecar["dtype"]
     if name not in DTYPES:
         raise ValueError(f"array sidecar {path} has unknown dtype {name!r}")
-    dtype = np.dtype(DTYPES[name])  # returned as a native-order copy
+    dtype = np.dtype(DTYPES[name])  # native order: a big-endian host swaps
     return read_raw(base_path + ".raw", dtype.newbyteorder("<"),
-                    shape).astype(dtype)
+                    shape).astype(dtype, copy=False)
 
 
 def read_raw(path, dtype, shape) -> np.ndarray:

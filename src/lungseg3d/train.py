@@ -20,7 +20,7 @@ from .data import SplitManifest, load_sample
 from .losses import SegMetrics, combined_term, seg_metrics
 from .networks import (NetworkConfig, build_network, check_threshold,
                        predict_volume)
-from .tensor import (INTEGER, INTEGERS, NUMBER, OBJECT, STRING, check_keys,
+from .tensor import (INTEGER, NUMBER, OBJECT, SIZES, STRING, check_keys,
                      load_array, read_json, save_array, write_json)
 
 LOG_HEADER = "epoch,train_loss,val_dice,val_iou"
@@ -119,13 +119,14 @@ def load_checkpoint(ckpt_dir) -> TrainState:
     reading each tensor the manifest names from `<ckpt_dir>/<name>`."""
     path = os.path.join(ckpt_dir, "manifest.json")
     manifest = read_json(path, "checkpoint manifest", {
-        "kind": STRING, "seed": INTEGER, "epoch": INTEGER,
-        "best_val_dice": NUMBER, "config": OBJECT, "adam": OBJECT,
+        "kind": STRING, "seed": INTEGER, "epoch": INTEGER, "config": OBJECT,
+        "adam": OBJECT, "best_val_dice": (
+            lambda v: NUMBER[0](v) and -1 <= v <= 1, "a number in [-1, 1]"),
         "tensors": (lambda v: isinstance(v, (list, dict)) and all(
             isinstance(name, str) for name in v), "a list of tensor names")})
     where = f"checkpoint manifest {path}"
-    config_keys = {"stage_channels": INTEGERS, "input_geometry": INTEGERS,
-                   "attn_window": INTEGERS, "dropout_rate": NUMBER}
+    config_keys = {"stage_channels": SIZES, "input_geometry": SIZES,
+                   "attn_window": SIZES, "dropout_rate": NUMBER}
     cfg = check_keys(manifest["config"], f"{where} 'config'", config_keys)
     a = check_keys(manifest["adam"], f"{where} 'adam'", {
         "lr": (lambda v: NUMBER[0](v) and _usable_lr(v),
@@ -202,8 +203,12 @@ def _truncate_log(log_path, last_epoch: int) -> None:
     if last_epoch >= 0 and os.path.exists(log_path):
         with open(log_path, "r", encoding="ascii") as fh:
             for line in fh.read().splitlines()[1:]:
-                epoch = line.split(",", 1)[0]
-                if not epoch.isdigit():  # refused before log.csv is rewritten
+                epoch, *values = line.split(",")
+                try:  # an int and three floats, checked before the rewrite
+                    values = [float(v) for v in values]
+                except ValueError:
+                    values = []
+                if not epoch.isdigit() or len(values) != 3:
                     raise ValueError(f"malformed row {line!r} in {log_path}")
                 if int(epoch) <= last_epoch:
                     rows.append(line)

@@ -321,23 +321,42 @@ def test_eval_refuses_a_sample_id_outside_the_sample_dir(tiny_run, tmp_path,
         "error: sample id '../outside/nodule-0007' is not a file name\n")
 
 
+@pytest.mark.parametrize("row", ["garbage row", "0,1.0"],
+                         ids=["no-epoch", "two-fields"])
 def test_resume_over_a_malformed_log_row_is_refused_untouched(
-        tiny_split, tiny_run, tmp_path, capsys):
-    """A log.csv row whose epoch is not an integer stops a resume with one
-    error line naming the row and log.csv, which is left as it was."""
+        tiny_split, tiny_run, tmp_path, capsys, row):
+    """A log.csv row that is not an integer epoch and three floats stops a
+    resume with one error line naming the row and log.csv, which is left as
+    it was."""
     samples, man = tiny_split
     run = tmp_path / "run"
     shutil.copytree(tiny_run[0], run)
     log = run / "log.csv"
-    log.write_text(log.read_text() + "garbage row\n")
+    log.write_text(log.read_text() + row + "\n")
     before = log.read_bytes()
     capsys.readouterr()
     assert main(["train", "--manifest", str(man), "--sample-dir",
                  str(samples), "--out", str(run), "--epochs", "2",
                  *MICRO_FLAGS, "--resume", str(run / "last")]) == 1
     assert capsys.readouterr().err == (
-        f"error: malformed row 'garbage row' in {log}\n")
+        f"error: malformed row {row!r} in {log}\n")
     assert log.read_bytes() == before
+
+
+def test_out_of_memory_is_one_line_error(tiny_run, tiny_split, monkeypatch,
+                                         capsys):
+    """A MemoryError, here from building the checkpoint's network, ends the
+    command with one error line and exit code 2, not a traceback."""
+    samples, man = tiny_split
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("lungseg3d.train.build_network", no_memory)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tiny_run[0] / "last"),
+                 "--manifest", str(man), "--sample-dir", str(samples)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_eval_threshold_out_of_range_on_an_empty_split(tiny_run, tiny_split,
@@ -406,8 +425,10 @@ LR_MESSAGE = "lr must be a finite number > 0, got "
     ("--attn-window", "4,4,4",
      "bottleneck spatial (2, 2, 2) not divisible by attention window "
      "(4, 4, 4)"),
+    ("--input-geometry", "1,-32,32,32",
+     "input_geometry must be 4 positive ints"),
 ], ids=["threshold", "epochs", "lr-nan", "lr-inf", "lr-negative", "lr-zero",
-        "attn-window"])
+        "attn-window", "input-geometry-negative"])
 def test_bad_train_setting_stops_before_training(tmp_path, capsys, tiny_split,
                                                  flag, value, message):
     """An out-of-range threshold, epoch count, learning rate or network
@@ -497,7 +518,14 @@ BAD_VALUES = [
       for label, lr in (("nan", float("nan")), ("inf", float("inf")),
                         ("negative", -1e-4), ("zero", 0))],
     ("checkpoint", ("tensors",), "int-name", lambda v: v[:-1] + [5]),
+    *[("checkpoint", ("best_val_dice",), label, lambda v, d=d: d)
+      for label, d in (("nan", float("nan")), ("above-one", 5.0))],
+    ("checkpoint", ("config", "input_geometry"), "negative",
+     lambda v: [v[0], -v[1]] + v[2:]),
     ("meta", ("spacing",), "int", lambda v: 1),
+    *[("meta", ("spacing",), label, lambda v, s=s: [s] + v[1:])
+      for label, s in (("nan", float("nan")), ("negative", -1), ("zero", 0))],
+    ("meta", ("origin",), "inf", lambda v: [float("inf")] + v[1:]),
     *[(w, (), "list", lambda v: [1])
       for w in ("split", "checkpoint", "sidecar", "meta")],
 ]

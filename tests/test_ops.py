@@ -1,5 +1,7 @@
 """Forward/backward kernels: shapes, pinned values, and local gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,26 @@ def test_conv_one_gemm_path_is_taken_by_small_rows_only(row, monkeypatch):
     small = "-small" in row[0]
     assert rule == [small] * (2 + len(_conv_plan(row)[0].reads)), rule
     assert (len(gemms) == len(rule)) == small, gemms
+
+
+def test_conv_workspace_stays_within_three_and_a_half_outputs():
+    """The traced allocations of an 8->8, 3^3, padding-1 conv3d peak at no
+    more than 3.5 times its output: the padded phase buffer, the pitched
+    output and one block of GEMM scratch, not a second output-sized one."""
+    spec = ConvSpec(8, 8, kernel=(3, 3, 3), padding=(1, 1, 1))
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((1, 8, 32, 64, 64)).astype(np.float32)
+    p = LayerParams(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32),
+                    np.zeros(8, np.float32), spec)
+    conv3d(x, p)  # builds and caches the tap plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv3d(x, p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * y.nbytes, peak / y.nbytes
 
 
 def test_phases_match_np_pad_byte_for_byte():

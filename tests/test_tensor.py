@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lungseg3d.tensor import Tensor5, load_array, save_array, write_json
+from lungseg3d.tensor import (NUMBER, Tensor5, load_array, read_json,
+                              save_array, write_json)
 
 
 def test_tensor5_validates_rank_and_dtype():
@@ -60,6 +61,24 @@ def test_write_json_is_ascii_with_sorted_keys_and_a_final_newline(
         tmp_path, indent, text):
     write_json(tmp_path / "r.json", {"b": "\u00e9", "a": [1, 2]}, indent)
     assert (tmp_path / "r.json").read_bytes() == text.encode("ascii")
+
+
+@pytest.mark.parametrize("value", [float("nan"), [1.0, float("-inf")]],
+                         ids=["nan", "-inf-in-a-list"])
+def test_write_json_refuses_a_number_that_is_not_json(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "r.json", {"a": value})
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_nan_and_infinity_under_their_key(tmp_path, text):
+    """A non-JSON constant fails its key's number test, so the error names
+    the file and the key."""
+    (tmp_path / "r.json").write_text('{"a": %s}' % text)
+    with pytest.raises(ValueError, match=r"r\.json has 'a' -?(nan|inf), "
+                                         r"expected a number$"):
+        read_json(tmp_path / "r.json", "record", {"a": NUMBER})
 
 
 def test_sidecar_is_written_by_write_json(tmp_path):
