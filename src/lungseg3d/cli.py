@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import data, gradcheck
@@ -143,8 +144,9 @@ def _flags(parser) -> dict:
 
 def _parse(argv) -> argparse.Namespace:
     """The command line, parsed again with the config file's keys for the
-    running command as its defaults; checked for a negative seed and
-    missing settings, and with train's net defaults filled in."""
+    running command as its defaults; checked for a negative seed, a
+    non-finite float and missing settings, and with train's net defaults
+    filled in."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -168,6 +170,10 @@ def _parse(argv) -> argparse.Namespace:
         args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         raise UsageError(f"'seed' must be non-negative, got {args.seed}")
+    for key, flag in _flags(parser.commands[args.command]).items():
+        val = getattr(args, key)
+        if flag.type is float and not abs(val) < math.inf:
+            raise UsageError(f"{key} must be a finite number, got {val}")
     for key in _NEEDS.get(args.command, ()):
         if not getattr(args, key):
             raise ValueError(f"{args.command} needs --{key}")

@@ -59,6 +59,19 @@ taps' slices fits one core's 2 MiB L2, the loop is one GEMM against the tap
 matrices reshaped to (O, C*T), whose column c*T + t meets the stack's row for
 channel c of tap t, and the weight gradient is one gy @ stack^T over the
 batch. Below that budget, T GEMMs and += passes cost more than the copy.
+
+Large conv3d forwards run over slabs, so a full-resolution layer holds no
+padded copy and no pitched output of the whole volume. A slab is a run of
+pitched output columns, whole column blocks spanning about the output depth
+rows that read _SLAB_BYTES (4 MiB) of padded input. It holds live the padded
+phase rows its taps read (its own rows plus lead columns of halo) and one
+pitched buffer of its columns plus two output rows, into which the next
+slab carries the output row it leaves open. Each slab starts and ends on a
+column block of the whole layer and never takes the one-GEMM path, so it
+issues the whole layer's GEMMs on the same operands and columns, and no
+result bit moves, not even a one-channel GEMV's. A layer whose padded input
+fits the budget (the nodule net at 32^3, the gradcheck sweep) or that takes
+the one-GEMM path runs whole; the backward and tconv3d are not slabbed.
 """
 from __future__ import annotations
 
@@ -200,12 +213,18 @@ def _tap_plan(spec: ConvSpec, spatial: tuple) -> _TapPlan:
                     tuple(taps), lead, tuple(reads))
 
 
-def _phases(x, spec: ConvSpec, plan: _TapPlan) -> dict:
-    """Pad x once; return the flat (B, C, Md*Mh*Mw) phase buffers taps read."""
-    xq = np.zeros(x.shape[:2] + tuple(np.multiply(plan.M, spec.stride)),
-                  dtype=x.dtype)
-    xq[(..., *map(slice, spec.padding, np.add(spec.padding, x.shape[2:])))] = x
-    sd, sh, sw = spec.stride
+def _phases(x, spec: ConvSpec, plan: _TapPlan, rows=None) -> dict:
+    """Pad x once; return the flat (B, C, n*Mh*Mw) phase buffers taps read,
+    over phase depth rows [q0, q1) = rows (all M[0] of them by default)."""
+    q0, q1 = rows or (0, plan.M[0])
+    (sd, sh, sw), (pd, ph, pw) = spec.stride, spec.padding
+    xq = np.zeros(x.shape[:2] + ((q1 - q0) * sd, plan.M[1] * sh,
+                                 plan.M[2] * sw), dtype=x.dtype)
+    # buffer row i holds input row lo + i; rows outside the input stay zero
+    lo = q0 * sd - pd
+    a, e = max(lo, 0), min(lo + xq.shape[2], x.shape[2])
+    xq[:, :, a - lo:e - lo, ph:ph + x.shape[3], pw:pw + x.shape[4]] = \
+        x[:, :, a:e]
     return {r: np.ascontiguousarray(xq[:, :, r[0]::sd, r[1]::sh, r[2]::sw])
             .reshape(x.shape[:2] + (-1,)) for r in {r for r, _ in plan.taps}}
 
@@ -233,6 +252,11 @@ def _block_cols(acc_rows: int, in_rows: int, itemsize: int) -> int:
     return 1024 * max(4, (512 << 10) // (1024 * col_bytes))
 
 
+# A conv3d whose zero-padded input holds more bytes than this runs over slabs
+# (see the module docstring).
+_SLAB_BYTES = 4 << 20
+
+
 def _one_gemm(B: int, T: int, C: int, L: int, itemsize: int) -> bool:
     """Whether a layer is small: its tap stack fits one core's 2 MiB L2."""
     return B * T * C * L * itemsize <= 2 << 20
@@ -257,21 +281,28 @@ def _tap_group(C: int, O: int) -> int:
     return max(1, 9 // C) if O >= C else 1
 
 
-def _shift_gemm(views, wk, out) -> None:
+def _shift_block(B: int, O: int, C: int, itemsize: int) -> int:
+    """Columns per block of the shift-GEMM; the block rule counts the rows
+    of its stacked operand as input rows."""
+    return _block_cols(B * O, B * _tap_group(C, O) * C, itemsize)
+
+
+def _shift_gemm(views, wk, out, blocked: bool = False) -> None:
     """Fill out (B, O, n) with sum_t wk[:, :, t] @ views[t], for the (O, C, T)
-    tap matrices wk and each tap's (B, C, n) view of its shifted input."""
+    tap matrices wk and each tap's (B, C, n) view of its shifted input.
+    `blocked` skips the one-GEMM rule, for a slab of a layer too big for it."""
     (B, O, n), C = out.shape, wk.shape[1]
-    if _one_gemm(B, len(views), C, n, out.itemsize):
+    if not blocked and _one_gemm(B, len(views), C, n, out.itemsize):
         np.matmul(wk.reshape(O, -1), _stack(views), out=out)
         return
     wt = np.ascontiguousarray(np.moveaxis(wk, 2, 0))
     g = _tap_group(C, O)
-    nb = min(n, _block_cols(B * O, B * g * C, out.itemsize))
+    nb = min(n, _shift_block(B, O, C, out.itemsize))
     tmp = np.empty((B, O, nb), dtype=out.dtype)
     # Taps go in groups of g, in order: one (O, g*C) weight block per group
     # and, per column block, one (B, g*C, nb) operand copied from the group's
-    # views (the block rule counts its rows as input rows). A one-tap group
-    # reads its view in place: with g = 1, one GEMM and one += per tap.
+    # views. A one-tap group reads its view in place: with g = 1, one GEMM
+    # and one += per tap.
     stack = np.empty((B, g * C, nb), dtype=out.dtype) if g > 1 else None
     groups = [(np.concatenate(wt[i:i + g], axis=1), views[i:i + g])
               for i in range(0, len(views), g)]
@@ -338,6 +369,58 @@ def _weight_gemm(gp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
     return acc.transpose(1, 2, 0).reshape(w.shape)
 
 
+def _slab_cols(x, spec: ConvSpec, plan: _TapPlan) -> int:
+    """Pitched output columns per slab of conv3d, 0 for a layer that runs
+    whole: one whose padded input fits _SLAB_BYTES, or that takes the
+    one-GEMM path. A slab is a whole number of column blocks, at least one,
+    spanning the output depth rows that read _SLAB_BYTES of padded input."""
+    (B, C, *_), (s, sh, sw) = x.shape, spec.stride
+    row = B * C * plan.M[1] * sh * plan.M[2] * sw * x.itemsize
+    if row * plan.M[0] * s <= _SLAB_BYTES or _one_gemm(
+            B, len(plan.taps), C, plan.L, x.itemsize):
+        return 0
+    nb = _shift_block(B, spec.out_channels, C, x.itemsize)
+    rows = max(1, _SLAB_BYTES // (row * s))
+    cols = max(nb, rows * plan.M[1] * plan.M[2] // nb * nb)
+    return cols if cols < plan.L else 0
+
+
+def _slab_forward(x, p: LayerParams, plan: _TapPlan, cols: int, y) -> None:
+    """Fill y with conv3d(x, p), `cols` pitched output columns at a time.
+
+    Slab [a, e) starts and ends where a column block does, so each of its
+    GEMMs is one the whole layer runs. Its columns go into one pitched
+    buffer that starts at the first output row not yet in y; the rows it
+    completes are cropped into y, and the columns of the row it leaves open
+    move to the front. The slab reads phase rows q = a // P to
+    (e + lead - 1) // P of the padded input, P = Mh*Mw."""
+    B, C, O = x.shape[0], x.shape[1], p.spec.out_channels
+    (_, oh, ow), (_, Mh, Mw) = plan.out, plan.M
+    P = Mh * Mw
+    # room for a slab, the open row carried in before it and the rest of
+    # the last row the crop reshapes; yp[..., 0] is pitched column `base`,
+    # and rows [0, done) are in y
+    yp = np.empty((B, O, cols + 2 * P), dtype=x.dtype)
+    wk, base, done = p.weight.reshape(O, C, -1), 0, 0
+    for a in range(0, plan.L, cols):
+        e, q = min(a + cols, plan.L), a // P
+        xph = _phases(x, p.spec, plan, (q, (e + plan.lead - 1) // P + 1))
+        _shift_gemm([xph[r][..., a - q * P + off: e - q * P + off]
+                     for r, off in plan.taps], wk,
+                    yp[..., a - base: e - base], blocked=True)
+        del xph  # before the next slab's rows are allocated
+        # output row i is complete once its last voxel's column is below e
+        end = (e - (oh - 1) * Mw - ow) // P + 1
+        if end > done:
+            i = done * P - base
+            np.add(yp[..., i: i + (end - done) * P].reshape(
+                B, O, end - done, Mh, Mw)[..., :oh, :ow],
+                p.bias[None, :, None, None, None], out=y[:, :, done:end])
+            done, k = end, min(end * P, e)
+            yp[..., :e - k] = yp[..., k - base: e - base]
+            base = k
+
+
 def conv3d(x, p: LayerParams) -> np.ndarray:
     """Strided, dilated 3D cross-correlation with zero padding and bias."""
     spec = p.spec
@@ -350,6 +433,10 @@ def conv3d(x, p: LayerParams) -> np.ndarray:
     # Reserving the output before the temporaries keeps them from leaving
     # heap holes under it; its pages are first touched after they are freed.
     y = np.empty((B, spec.out_channels) + plan.out, dtype=x.dtype)
+    cols = _slab_cols(x, spec, plan)
+    if cols:
+        _slab_forward(x, p, plan, cols, y)
+        return y
     return np.add(_forward(_phases(x, spec, plan), p.weight, plan),
                   p.bias[None, :, None, None, None], out=y)
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, JSON echo, artifacts."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -413,13 +414,15 @@ def _train_refused(tmp_path, capsys, samples, extra, message):
 
 
 LR_MESSAGE = "lr must be a finite number > 0, got "
+# a non-finite float flag is refused while the command line is parsed
+FINITE_MESSAGE = "must be a finite number, got "
 
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--threshold", "1.5", "threshold 1.5 outside (0, 1)"),
     ("--epochs", "-3", "epochs must be at least 1, got -3"),
-    ("--lr", "nan", LR_MESSAGE + "nan"),
-    ("--lr", "inf", LR_MESSAGE + "inf"),
+    ("--lr", "nan", "lr " + FINITE_MESSAGE + "nan"),
+    ("--lr", "inf", "lr " + FINITE_MESSAGE + "inf"),
     ("--lr", "-1", LR_MESSAGE + "-1.0"),
     ("--lr", "0", LR_MESSAGE + "0.0"),
     ("--attn-window", "4,4,4",
@@ -443,8 +446,40 @@ def test_unusable_lr_from_a_config_file_stops_before_training(
         tmp_path, capsys, tiny_split, lr):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lr": lr}))
+    message = LR_MESSAGE if math.isfinite(lr) else "lr " + FINITE_MESSAGE
     _train_refused(tmp_path, capsys, tiny_split[0], ["--config", str(cfg)],
-                   LR_MESSAGE + repr(lr))
+                   message + repr(lr))
+
+
+NOPE = ["--manifest", "nope.json"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["train", "--net", "nodule", *NOPE, "--lr", "nan"], {}),
+    (["train", "--net", "nodule", *NOPE, "--threshold", "inf"], {}),
+    (["train", "--net", "nodule", *NOPE, "--dropout-rate=-inf"], {}),
+    (["train", "--net", "nodule", *NOPE], {"lr": float("nan")}),
+    (["train", "--net", "nodule", *NOPE], {"dropout_rate": float("inf")}),
+    (["eval", "--checkpoint", "nope", *NOPE, "--threshold", "nan"], {}),
+    (["predict", "--checkpoint", "nope", "--id", "a"],
+     {"threshold": float("-inf")}),
+], ids=["lr", "threshold", "dropout-rate", "config-lr", "config-dropout-rate",
+        "eval-threshold", "config-predict-threshold"])
+def test_non_finite_float_is_refused_before_the_echo(tmp_path, capsys, argv,
+                                                     config):
+    """A NaN or infinite float setting, from a flag or a config file, ends
+    the command with one error line before anything is echoed: the echo
+    would write it as a bare NaN or Infinity, which is not JSON."""
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert FINITE_MESSAGE in err[0], err[0]
+    assert not captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("net,flag,value,message", [

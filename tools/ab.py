@@ -5,7 +5,7 @@ Usage, from the repository root:
 
     python3 tools/ab.py identity PARENT_REV [CHANGE_REV] [--root DIR]
     python3 tools/ab.py bench PARENT_REV [CHANGE_REV] --workload W --pairs N
-                        [--seed S] [--root DIR]
+                        [--seed S] [--trace 0|1] [--root DIR]
 
 CHANGE_REV defaults to HEAD. Both revisions are exported with `git archive`
 into DIR/parent and DIR/change (DIR defaults to `lungseg3d-ab` in the
@@ -30,13 +30,18 @@ It prints each artifact's sha256 prefix in both trees and names every file
 that differs or exists in one tree only. Exit code 1 if any artifact
 differs or any command failed.
 
-`bench` runs `perfbench/run.py --workload W --trace 0` in the two trees for
-N pairs, at seeds S, S+1, ..., and alternates which tree runs first. For
-each end-to-end metric of the parent's BENCHMARK.json it prints every
-reading, both medians and ranges, and the number of pairs the change won.
-A metric is "unresolved" when the parent's own spread, (max - min) /
+`bench` runs `perfbench/run.py --workload W --trace T` (T defaults to 0) in
+the two trees for N pairs, at seeds S, S+1, ..., and alternates which tree
+runs first. Each run's line gives its exit code and failed operations, and
+is followed by every `check FAIL` and `error` line it printed. Untraced, it
+then prints, for each end-to-end metric of the parent's BENCHMARK.json,
+every reading, both medians and ranges, and the number of pairs the change
+won. A metric is "unresolved" when the parent's own spread, (max - min) /
 median, exceeds the metric's bound: its runs cannot then tell a change of
-that size from noise. Exit code 1 if a run failed a check or an operation.
+that size from noise. Traced (`--trace 1`), a run reports per-layer metrics
+instead, so each run's line also gives its `trace.coverage`, the share of
+the operation's time its spans cover, and the table is skipped. Exit code 1
+if a run failed a check or an operation.
 
 It needs git and the standard library only. It is a reading aid, not a
 gate, and it changes nothing in either tree's sources.
@@ -212,9 +217,9 @@ def cmd_identity(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def bench_once(tree: str, workload: str, seed: int) -> dict:
+def bench_once(tree: str, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -241,14 +246,19 @@ def cmd_bench(args) -> int:
         seed = args.seed + i
         order = [0, 1] if i % 2 == 0 else [1, 0]
         for k in order:
-            result = bench_once(trees[k], args.workload, seed)
+            result = bench_once(trees[k], args.workload, seed, args.trace)
             runs[TREES[k]].append(result)
+            coverage = result["metrics"].get("trace.coverage")
             print(f"pair {i + 1} seed {seed} {TREES[k]}: exit "
                   f"{result['exit']}, failed {result.get('failed')}"
+                  + ("" if not args.trace else ", trace.coverage "
+                     + (f"{coverage['value']:.4f}" if coverage else "missing"))
                   + "".join(f"\n  {line}" for line in result["fails"]))
             status |= result["exit"] != 0
-    print(f"{args.pairs} pairs of {args.workload} in "
+    print(f"{args.pairs} pairs of {args.workload} (trace {args.trace}) in "
           f"{time.monotonic() - t0:.0f} s")
+    if args.trace:  # a traced run reports no end-to-end metric
+        return status
     for m in metrics:
         name, bound = m["name"], m["bound"]
         vals = {t: [r["metrics"].get(name, {}).get("value") for r in runs[t]]
@@ -286,6 +296,7 @@ def main(argv=None) -> int:
     bench.add_argument("--workload", required=True)
     bench.add_argument("--pairs", type=int, required=True)
     bench.add_argument("--seed", type=int, default=1)
+    bench.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     return cmd_identity(args) if args.command == "identity" else cmd_bench(
         args)
