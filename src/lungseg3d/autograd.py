@@ -22,6 +22,8 @@ do. By default no op writes into an operand: gradcheck's probes rely on it.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import ops
@@ -30,19 +32,16 @@ from .ops import BatchNormState, ConvSpec, LayerParams
 _grad_enabled = True
 
 
-class no_grad:
-    """Context manager that disables graph recording."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+@contextlib.contextmanager
+def no_grad():
+    """`with no_grad():` disables graph recording; leaving the block restores
+    the state it found, so an inner block keeps an outer one's."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Var:

@@ -60,18 +60,18 @@ matrices reshaped to (O, C*T), whose column c*T + t meets the stack's row for
 channel c of tap t, and the weight gradient is one gy @ stack^T over the
 batch. Below that budget, T GEMMs and += passes cost more than the copy.
 
-Large conv3d forwards run over slabs, so a full-resolution layer holds no
-padded copy and no pitched output of the whole volume. A slab is a run of
-pitched output columns, whole column blocks spanning about the output depth
-rows that read _SLAB_BYTES (4 MiB) of padded input. It holds live the padded
-phase rows its taps read (its own rows plus lead columns of halo) and one
-pitched buffer of its columns plus two output rows, into which the next
-slab carries the output row it leaves open. Each slab starts and ends on a
-column block of the whole layer and never takes the one-GEMM path, so it
-issues the whole layer's GEMMs on the same operands and columns, and no
-result bit moves, not even a one-channel GEMV's. A layer whose padded input
-fits the budget (the nodule net at 32^3, the gradcheck sweep) or that takes
-the one-GEMM path runs whole; the backward and tconv3d are not slabbed.
+The conv forward of conv3d and of tconv3d_backward's input gradient runs
+over slabs, so a full-resolution layer holds no whole padded copy or pitched
+output. A slab is a run of pitched output columns, whole column blocks over
+about the output depth rows that read _SLAB_BYTES (4 MiB) of padded input.
+It holds live the padded phase rows its taps read (its own rows plus lead
+columns of halo) and one pitched buffer of its columns plus two output rows,
+into which the next slab carries the output row it leaves open. Slabs start
+and end on the whole layer's column blocks, and a layer of two or more never
+takes the one-GEMM path, so they issue its GEMMs on the same operands and
+columns: no result bit moves, not even a GEMV's. A layer whose padded input
+fits the budget (the nodule net at 32^3, the gradcheck sweep) or on the
+one-GEMM path is one slab. The adjoint and weight gradients are not slabbed.
 """
 from __future__ import annotations
 
@@ -324,16 +324,6 @@ def _shift_gemm(views, wk, out, blocked: bool = False) -> None:
             yb += np.matmul(wg, operand(grp, a, e), out=tb)
 
 
-def _forward(xph: dict, w, plan: _TapPlan) -> np.ndarray:
-    """Conv without bias from the phase buffers, cropped to plan.out."""
-    x0, O = next(iter(xph.values())), w.shape[0]
-    (B, C, _), (od, oh, ow), (_, Mh, Mw) = x0.shape, plan.out, plan.M
-    yp = np.empty((B, O, od * Mh * Mw), dtype=x0.dtype)
-    _shift_gemm([xph[r][..., off: off + plan.L] for r, off in plan.taps],
-                w.reshape(O, C, -1), yp[..., :plan.L])
-    return yp.reshape(B, O, od, Mh, Mw)[..., :oh, :ow]
-
-
 def _adjoint(gp, w, spec: ConvSpec, plan: _TapPlan, spatial) -> np.ndarray:
     """Adjoint of _forward from gp = _pitched(gy): phase r of the padded
     result is sum_t W_t^T @ gy[n - off_t] over the taps t that read r."""
@@ -369,24 +359,25 @@ def _weight_gemm(gp, xph: dict, plan: _TapPlan, w) -> np.ndarray:
     return acc.transpose(1, 2, 0).reshape(w.shape)
 
 
-def _slab_cols(x, spec: ConvSpec, plan: _TapPlan) -> int:
-    """Pitched output columns per slab of conv3d, 0 for a layer that runs
-    whole: one whose padded input fits _SLAB_BYTES, or that takes the
-    one-GEMM path. A slab is a whole number of column blocks, at least one,
-    spanning the output depth rows that read _SLAB_BYTES of padded input."""
+def _slab_cols(x, w, spec: ConvSpec, plan: _TapPlan) -> int:
+    """Pitched output columns per slab of the conv of x by w, plan.L for a
+    layer that runs as one slab: one whose padded input fits _SLAB_BYTES,
+    or that takes the one-GEMM path. A slab of a larger layer is a whole
+    number of column blocks, at least one, spanning the output depth rows
+    that read _SLAB_BYTES of padded input."""
     (B, C, *_), (s, sh, sw) = x.shape, spec.stride
     row = B * C * plan.M[1] * sh * plan.M[2] * sw * x.itemsize
     if row * plan.M[0] * s <= _SLAB_BYTES or _one_gemm(
             B, len(plan.taps), C, plan.L, x.itemsize):
-        return 0
-    nb = _shift_block(B, spec.out_channels, C, x.itemsize)
+        return plan.L
+    nb = _shift_block(B, w.shape[0], C, x.itemsize)
     rows = max(1, _SLAB_BYTES // (row * s))
-    cols = max(nb, rows * plan.M[1] * plan.M[2] // nb * nb)
-    return cols if cols < plan.L else 0
+    return min(plan.L, max(nb, rows * plan.M[1] * plan.M[2] // nb * nb))
 
 
-def _slab_forward(x, p: LayerParams, plan: _TapPlan, cols: int, y) -> None:
-    """Fill y with conv3d(x, p), `cols` pitched output columns at a time.
+def _forward(x, w, bias, spec: ConvSpec, plan: _TapPlan, y) -> None:
+    """Fill y with the conv of x by the (O, C, *kernel) weight w, plus bias
+    unless it is None, over slabs of _slab_cols pitched output columns.
 
     Slab [a, e) starts and ends where a column block does, so each of its
     GEMMs is one the whole layer runs. Its columns go into one pitched
@@ -394,28 +385,31 @@ def _slab_forward(x, p: LayerParams, plan: _TapPlan, cols: int, y) -> None:
     completes are cropped into y, and the columns of the row it leaves open
     move to the front. The slab reads phase rows q = a // P to
     (e + lead - 1) // P of the padded input, P = Mh*Mw."""
-    B, C, O = x.shape[0], x.shape[1], p.spec.out_channels
-    (_, oh, ow), (_, Mh, Mw) = plan.out, plan.M
+    (B, C), O, cols = x.shape[:2], w.shape[0], _slab_cols(x, w, spec, plan)
+    (od, oh, ow), (_, Mh, Mw) = plan.out, plan.M
     P = Mh * Mw
     # room for a slab, the open row carried in before it and the rest of
-    # the last row the crop reshapes; yp[..., 0] is pitched column `base`,
-    # and rows [0, done) are in y
-    yp = np.empty((B, O, cols + 2 * P), dtype=x.dtype)
-    wk, base, done = p.weight.reshape(O, C, -1), 0, 0
+    # the last row the crop reshapes, but never more than the whole pitched
+    # output; yp[..., 0] is pitched column `base`, and rows [0, done) are in y
+    yp = np.empty((B, O, min(cols + 2 * P, od * P)), dtype=x.dtype)
+    wk, base, done = w.reshape(O, C, -1), 0, 0
     for a in range(0, plan.L, cols):
         e, q = min(a + cols, plan.L), a // P
-        xph = _phases(x, p.spec, plan, (q, (e + plan.lead - 1) // P + 1))
+        xph = _phases(x, spec, plan, (q, (e + plan.lead - 1) // P + 1))
         _shift_gemm([xph[r][..., a - q * P + off: e - q * P + off]
                      for r, off in plan.taps], wk,
-                    yp[..., a - base: e - base], blocked=True)
+                    yp[..., a - base: e - base], blocked=cols < plan.L)
         del xph  # before the next slab's rows are allocated
         # output row i is complete once its last voxel's column is below e
         end = (e - (oh - 1) * Mw - ow) // P + 1
         if end > done:
             i = done * P - base
-            np.add(yp[..., i: i + (end - done) * P].reshape(
-                B, O, end - done, Mh, Mw)[..., :oh, :ow],
-                p.bias[None, :, None, None, None], out=y[:, :, done:end])
+            rows = yp[..., i: i + (end - done) * P].reshape(
+                B, O, end - done, Mh, Mw)[..., :oh, :ow]
+            if bias is None:
+                y[:, :, done:end] = rows
+            else:
+                np.add(rows, _ch(bias), out=y[:, :, done:end])
             done, k = end, min(end * P, e)
             yp[..., :e - k] = yp[..., k - base: e - base]
             base = k
@@ -433,12 +427,8 @@ def conv3d(x, p: LayerParams) -> np.ndarray:
     # Reserving the output before the temporaries keeps them from leaving
     # heap holes under it; its pages are first touched after they are freed.
     y = np.empty((B, spec.out_channels) + plan.out, dtype=x.dtype)
-    cols = _slab_cols(x, spec, plan)
-    if cols:
-        _slab_forward(x, p, plan, cols, y)
-        return y
-    return np.add(_forward(_phases(x, spec, plan), p.weight, plan),
-                  p.bias[None, :, None, None, None], out=y)
+    _forward(x, p.weight, p.bias, spec, plan, y)
+    return y
 
 
 def conv3d_backward(x, p: LayerParams, grad_out):
@@ -482,9 +472,11 @@ def tconv3d_backward(x, p: LayerParams, grad_out):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match "
                          f"tconv output {(B, spec.out_channels) + out}")
     plan = _tap_plan(spec, out)
-    gyph = _phases(grad_out, spec, plan)
-    gx = np.ascontiguousarray(_forward(gyph, p.weight, plan))
+    gyph = _phases(grad_out, spec, plan)  # before x's pitched copy is made
     gw = _weight_gemm(_pitched(x, plan), gyph, plan, p.weight)
+    del gyph  # gw's whole phases go before gx's slabs are built
+    gx = np.empty(x.shape, x.dtype)
+    _forward(grad_out, p.weight, None, spec, plan, gx)
     return gx, gw, grad_out.sum(axis=(0, 2, 3, 4))
 
 

@@ -139,13 +139,20 @@ def load_checkpoint(ckpt_dir) -> TrainState:
     net = build_network(manifest["kind"], config, manifest["seed"])
 
     def load(name, like):
-        """Tensor `name`, checked against the fresh net's array it replaces."""
+        """Tensor `name`, checked against the fresh net's array it replaces;
+        every value must be finite, and a variance's non-negative."""
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name!r}")
         arr = load_array(os.path.join(ckpt_dir, name))
         if arr.shape != like.shape or arr.dtype != like.dtype:
             raise ValueError(f"checkpoint tensor {name!r} is {arr.dtype} "
                              f"{arr.shape}, expected {like.dtype} {like.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint tensor {name!r} holds a non-finite "
+                             f"value")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise ValueError(f"checkpoint tensor {name!r} holds a negative "
+                             f"variance")
         return arr
 
     params = {var.name: var for var in net.params()}

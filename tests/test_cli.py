@@ -360,6 +360,38 @@ def test_out_of_memory_is_one_line_error(tiny_run, tiny_split, monkeypatch,
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("suffix,value", [("head.weight", float("nan")),
+                                          (".running_var", -1.0)],
+                         ids=["nan-weight", "negative-running-var"])
+def test_checkpoint_tensor_with_a_bad_value_is_one_line_error(
+        tiny_run, tiny_split, tmp_path, capsys, command, suffix, value):
+    """A checkpoint tensor holding a NaN, or a batchnorm running variance
+    holding a negative value, makes every probability NaN; eval and predict
+    refuse it with one error line naming the tensor, and write nothing."""
+    run, _ = tiny_run
+    samples, man = tiny_split
+    ckpt = tmp_path / "last"
+    shutil.copytree(run / "last", ckpt)
+    name = next(n for n in json.loads((ckpt / "manifest.json").read_text())[
+        "tensors"] if n.endswith(suffix))
+    dtype = {"f32": "<f4", "f64": "<f8"}[json.loads(
+        (ckpt / f"{name}.json").read_text())["dtype"]]
+    arr = np.fromfile(ckpt / f"{name}.raw", dtype=dtype)
+    arr[0] = value
+    arr.tofile(ckpt / f"{name}.raw")
+    out = tmp_path / ("report.json" if command == "eval" else "pred.mhd")
+    argv = {"eval": ["--manifest", str(man), "--split", "val"],
+            "predict": ["--id", "nodule-0001"]}[command]
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt), *argv, "--sample-dir",
+                 str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert repr(name) in err[0], err[0]
+    assert not out.exists()
+
+
 def test_eval_threshold_out_of_range_on_an_empty_split(tiny_run, tiny_split,
                                                        tmp_path, capsys):
     """The threshold is refused even when no test volume would use it, and

@@ -17,7 +17,7 @@ from lungseg3d.gradcheck import (ABS_FLOOR, BLOCK_TARGETS, CHECKS, H_SHALLOW,
 
 # autograd module functions that build/drive the graph rather than
 # differentiate anything, and so are exempt from the coverage gate
-_NON_DIFFERENTIABLE = {"accumulate", "from_op", "run_backward",
+_NON_DIFFERENTIABLE = {"accumulate", "from_op", "no_grad", "run_backward",
                        "zero_grads"}
 
 

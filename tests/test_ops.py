@@ -434,7 +434,7 @@ def test_slabbed_conv_workspace_stays_within_half_an_output():
     p = LayerParams(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32),
                     np.zeros(8, np.float32), spec)
     plan = _tap_plan(spec, x.shape[2:])
-    assert -(-plan.L // ops._slab_cols(x, spec, plan)) >= 8
+    assert -(-plan.L // ops._slab_cols(x, p.weight, spec, plan)) >= 8
     y, peak = _traced_conv(x, p)
     assert peak - y.nbytes <= 0.5 * y.nbytes, peak / y.nbytes - 1
 
@@ -464,8 +464,8 @@ def _slab_case(spec, dims, dtype, seed):
 
 
 def _count_slabs(monkeypatch):
-    """A list that gains the phase rows of each slab conv3d runs (a whole
-    layer's phases are built with no rows)."""
+    """A list that gains the phase rows of each slab the conv forward runs
+    (the weight gradients build whole phases, with no rows)."""
     slabs, real = [], ops._phases
     monkeypatch.setattr(ops, "_phases",
                         lambda *a: slabs.extend(a[3:]) or real(*a))
@@ -493,6 +493,37 @@ def test_slabbed_conv_returns_the_whole_layers_bytes(case, dtype,
         got = conv3d(x, p)
         assert len(slabs) >= 3, (budget, slabs)
         assert got.dtype == dtype and got.tobytes() == whole.tobytes(), budget
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["f64", "f32"])
+@pytest.mark.parametrize("case", SLAB_CASES, ids=lambda c: c[0])
+def test_slabbed_tconv_backward_returns_the_whole_layers_bytes(case, dtype,
+                                                               monkeypatch):
+    """tconv3d_backward's input gradient is the conv forward of grad_out, so
+    it runs in the same slabs; at the smallest slabs and at slabs of about a
+    quarter of the padded grad_out, gx and gw are the bytes of the same call
+    run whole."""
+    _, conv, dims = case
+    out = conv.out_dims(dims)
+    gy, p = _slab_case(conv, conv.tconv_out_dims(out), dtype, 30)
+    spec = ConvSpec(conv.out_channels, conv.in_channels, conv.kernel,
+                    conv.stride, conv.dilation, conv.padding)
+    p = LayerParams(p.weight, np.zeros(conv.in_channels, dtype), spec)
+    x = np.random.default_rng(31).standard_normal(
+        (1, conv.out_channels) + out).astype(dtype)
+    plan = _tap_plan(spec, gy.shape[2:])
+    padded = gy.itemsize * conv.in_channels * int(np.prod(np.multiply(
+        plan.M, spec.stride)))
+    monkeypatch.setattr(ops, "_SLAB_BYTES", 1 << 40)
+    whole = tconv3d_backward(x, p, gy)[:2]
+    for budget in (1, padded // 4):
+        monkeypatch.setattr(ops, "_SLAB_BYTES", budget)
+        slabs = _count_slabs(monkeypatch)
+        got = tconv3d_backward(x, p, gy)[:2]
+        assert len(slabs) >= 3, (budget, slabs)
+        for g, w in zip(got, whole):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes(), budget
 
 
 def test_slabbed_conv_is_tconv_adjoint(monkeypatch):

@@ -23,7 +23,9 @@ hold nothing of the tree:
   heatmaps, all from `best/`;
 - `gradcheck --target all` at seeds 0, 1 and 2, each of which must exit 0;
 - acceptance criterion 6's 10-step replays: the lung net on a 16x64x64
-  phantom and the nodule net, dropout 0, on a 32^3 one (losses as repr);
+  phantom and the nodule net, dropout 0, on a 32^3 one; and 2 steps of the
+  lung net on a 16x128x128 phantom, large enough that the conv forwards of
+  both conv3d and tconv3d_backward run in slabs (losses as repr);
 - the probability volume of a desk-width (8,16,32,64) lung net on a
   23x300x300 phantom.
 It prints each artifact's sha256 prefix in both trees and names every file
@@ -65,8 +67,9 @@ TREES = ("parent", "change")  # equal lengths: equal path lengths
 MARKER = ".ab-tree"
 THREADS = "1"  # OPENBLAS_NUM_THREADS of the identity set
 
-# criterion 6's replays and the desk lung probability volume, run in a tree
-# with its src/ first on the path; writes into the working directory
+# criterion 6's replays, a larger lung replay and the desk lung probability
+# volume, run in a tree with its src/ first on the path; writes into the
+# working directory
 _SNIPPET = """
 import json
 import numpy as np
@@ -78,16 +81,18 @@ from lungseg3d.train import AdamState, train_step
 
 DESK = [8, 16, 32, 64]
 replays = {}
-for kind, config, sample in (
+for name, config, sample, steps in (
         ("lung", NetworkConfig(DESK, (1, 16, 64, 64)),
-         make_phantom("lung", (16, 64, 64), 0)),
+         make_phantom("lung", (16, 64, 64), 0), 10),
+        ("lung-16x128x128", NetworkConfig(DESK, (1, 16, 128, 128)),
+         make_phantom("lung", (16, 128, 128), 0), 2),
         ("nodule", NetworkConfig(DESK, (1, 32, 32, 32), dropout_rate=0.0),
-         make_phantom("nodule", 32, 0))):
-    net = build_network(kind, config, seed=0)
+         make_phantom("nodule", 32, 0), 10)):
+    net = build_network(name.split("-")[0], config, seed=0)
     params, adam = list(net.params()), AdamState(lr=1e-4)
-    replays[kind] = [repr(train_step(
+    replays[name] = [repr(train_step(
         net, params, sample, adam, np.random.default_rng([0, 0xD409, 0, s])))
-        for s in range(10)]
+        for s in range(steps)]
 with open("replays.json", "w") as fh:
     json.dump(replays, fh, indent=1, sort_keys=True)
 
